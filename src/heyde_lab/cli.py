@@ -42,6 +42,7 @@ from .search import (
     classify_distribution,
     grid_scan,
     padic_scan,
+    verdict_tags,
 )
 from .serialization import (
     SchemaError,
@@ -58,8 +59,6 @@ EXIT_FALSE = 1
 EXIT_SCHEMA = 2
 EXIT_DISAGREEMENT = 3
 
-_IDEMPOTENT_KINDS = ("degenerate", "idempotent-shift")
-
 
 def _timestamp() -> str:
     pinned = os.environ.get("HEYDE_LAB_TIMESTAMP")
@@ -68,23 +67,11 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _thread_cap() -> int:
-    """Upper bound on worker parallelism; evaluation is partition-
-    deterministic, so the cap never affects output."""
-    raw = os.environ.get("HEYDE_LAB_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
 def build_manifest(command: str, inputs: Sequence[str], config: dict) -> dict:
     return {
         "command": command,
         "inputs": list(inputs),
         "config": config,
-        "threads": _thread_cap(),
         "version": __version__,
         "timestamp": _timestamp(),
     }
@@ -139,17 +126,7 @@ def cmd_check(args: argparse.Namespace, out: TextIO) -> int:
 
     class1 = classify_distribution(instance.mu1)
     class2 = classify_distribution(instance.mu2)
-    pair_idempotent = (
-        class1["kind"] in _IDEMPOTENT_KINDS and class2["kind"] in _IDEMPOTENT_KINDS
-    )
-    tags = []
-    if symmetric and pair_idempotent and kernel.is_trivial:
-        tags.append("theoremB-consistent")
-    if symmetric and not pair_idempotent:
-        if not kernel.is_trivial:
-            tags.append("kernel-counterexample")
-        else:
-            tags.append("red-alert-nonidempotent")
+    tags = list(verdict_tags(class1, class2, kernel)) if symmetric else []
 
     agreement = {
         "symmetric_vs_eq42": symmetric == eq42,

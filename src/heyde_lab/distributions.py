@@ -176,17 +176,7 @@ def symmetrize(mu: Distribution) -> Distribution:
 
 
 def char_function(mu: Distribution) -> CharFunction:
-    group = mu.group
-    support = mu.support()
-    values: dict[GroupElement, complex] = {}
-    for y in group.elements:
-        acc = 0j
-        for x in support:
-            acc += float(mu.probs[x]) * character(x, y)
-        values[y] = acc
-    # the identity character sums the weights exactly
-    values[group.zero] = complex(1.0, 0.0)
-    return CharFunction(group, values)
+    return CharFunction(mu.group, dict(zip(mu.group.elements, char_values_list(mu))))
 
 
 def char_values_list(mu: Distribution) -> list[complex]:
@@ -200,6 +190,7 @@ def char_values_list(mu: Distribution) -> list[complex]:
         for x, w in zip(support, weights):
             acc += w * character(x, y)
         out.append(acc)
+    # the identity character sums the weights exactly
     out[0] = complex(1.0, 0.0)
     return out
 

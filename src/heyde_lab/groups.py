@@ -6,9 +6,11 @@ through the fixed pairing (x, y) = exp(2*pi*i * sum_j x_j*y_j / n_j), so a
 matrices acting on residue vectors; a congruence condition on the entries
 guarantees the action is well defined.
 
-Everything here is desk scale: kernels, images, annihilators and subgroup
-closures are computed by plain enumeration, which is trivial for groups
-below the enumeration cap and hard to get wrong.
+Everything here is desk scale.  An endomorphism walks the group once, into
+a table of element indices, and reads ``is_auto``, its kernel, image and
+inverse off that table.  Subgroups are closed coset by coset from their
+generators, and a subgroup given by its elements is validated by closing
+generators picked from inside it.  Annihilators are found by enumeration.
 """
 
 from __future__ import annotations
@@ -227,8 +229,45 @@ def pairing_is_trivial(x: GroupElement, y: GroupElement) -> bool:
     return exact
 
 
+def _closure(
+    zero: GroupElement,
+    generators: Iterable[GroupElement],
+    inside: frozenset[GroupElement] | None = None,
+) -> list[GroupElement]:
+    """Elements of the subgroup generated, starting with zero.
+
+    Adjoining g to a subgroup C adds the cosets C + m*g for m = 1, 2, ...
+    up to the first multiple already in C, so each element is produced by
+    exactly one addition.  With ``inside``, the first sum of two elements
+    that leaves it raises ValueError.
+    """
+    closure = [zero]
+    members = {zero}
+    for g in generators:
+        if g in members:
+            continue
+        base = closure[:]
+        step = g
+        while step not in members:
+            for c in base:
+                y = c + step
+                if inside is not None and y not in inside:
+                    raise ValueError(
+                        f"subgroup not closed under addition at {c}+{step}"
+                    )
+                members.add(y)
+                closure.append(y)
+            step = step + g
+    return closure
+
+
 class Subgroup:
-    """Subgroup given by its full (sorted) element set plus generators."""
+    """Subgroup given by its full (sorted) element set plus generators.
+
+    The element set is validated by closing it greedily: each element not
+    yet produced becomes a generator, and the closure must stay inside the
+    set.
+    """
 
     def __init__(
         self,
@@ -245,12 +284,7 @@ class Subgroup:
         elem_set = frozenset(elems)
         if parent.zero not in elem_set:
             raise ValueError("subgroup must contain the identity")
-        for a in elems:
-            if -a not in elem_set:
-                raise ValueError(f"subgroup not closed under negation at {a}")
-            for b in elems:
-                if a + b not in elem_set:
-                    raise ValueError(f"subgroup not closed under addition at {a}+{b}")
+        _closure(parent.zero, elems, inside=elem_set)
         self.parent = parent
         self.elements = tuple(elems)
         self.generators = tuple(generators) if generators is not None else self.elements
@@ -291,18 +325,7 @@ def subgroup_generated(
     for g in gens:
         if g.group != group:
             raise ValueError("generator outside the group")
-    closure = {group.zero}
-    frontier = [group.zero]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x + g
-                if y not in closure:
-                    closure.add(y)
-                    new.append(y)
-        frontier = new
-    return Subgroup(group, closure, generators=gens)
+    return Subgroup(group, _closure(group.zero, gens), generators=gens)
 
 
 def trivial_subgroup(group: FiniteAbelianGroup) -> Subgroup:
@@ -334,8 +357,9 @@ class Endomorphism:
     sum_j a[i][j] * x_j mod n_i.
 
     Well-definedness requires n_j * a[i][j] = 0 (mod n_i) for every entry;
-    the constructor rejects matrices violating it.  ``is_auto`` is decided by
-    enumerating the image and comparing its size with the group order.
+    the constructor rejects matrices violating it.  ``table`` holds the
+    index of alpha(x) for each element x, computed on first use;
+    ``is_auto``, ``kernel()``, ``image()`` and ``inverse()`` are read off it.
     """
 
     def __init__(self, group: FiniteAbelianGroup, matrix: Sequence[Sequence[int]]):
@@ -361,11 +385,19 @@ class Endomorphism:
             reduced.append(tuple(new_row))
         self.group = group
         self.matrix = tuple(reduced)
-        self.is_auto = self._image_is_everything()
+        self._table: tuple[int, ...] | None = None
 
-    def _image_is_everything(self) -> bool:
-        image = {self(x).coords for x in self.group.elements}
-        return len(image) == self.group.order
+    @property
+    def table(self) -> tuple[int, ...]:
+        """Index of alpha(x) for each element x, in element order."""
+        if self._table is None:
+            index = self.group.index
+            self._table = tuple(index(self(x)) for x in self.group.elements)
+        return self._table
+
+    @property
+    def is_auto(self) -> bool:
+        return len(set(self.table)) == self.group.order
 
     def __call__(self, x: GroupElement) -> GroupElement:
         if x.group != self.group:
@@ -450,26 +482,25 @@ class Endomorphism:
         return Endomorphism(self.group, adj)
 
     def kernel(self) -> Subgroup:
-        """{x : alpha x = 0}, by full enumeration."""
-        members = [x for x in self.group.elements if self(x).is_zero]
+        """{x : alpha x = 0}."""
+        elements = self.group.elements
+        members = [elements[i] for i, t in enumerate(self.table) if t == 0]
         return Subgroup(self.group, members)
 
     def image(self) -> Subgroup:
-        return Subgroup(self.group, {self(x) for x in self.group.elements})
+        elements = self.group.elements
+        return Subgroup(self.group, [elements[t] for t in set(self.table)])
 
     def inverse(self) -> Endomorphism:
-        """Inverse automorphism, read off the inverted element permutation."""
+        """Inverse automorphism: column j is the preimage of the j-th basis
+        vector."""
         if not self.is_auto:
             raise ValueError("cannot invert: not an automorphism")
         group = self.group
-        preimage = {self(x).coords: x for x in group.elements}
         k = group.rank
-        columns = []
-        for j in range(k):
-            gen = group.element(tuple(1 if m == j else 0 for m in range(k)))
-            columns.append(preimage[gen.coords].coords)
-        matrix = [[columns[j][i] for j in range(k)] for i in range(k)]
-        return Endomorphism(group, matrix)
+        basis = [group.element([int(m == j) for m in range(k)]) for j in range(k)]
+        preimages = [group.elements[self.table.index(group.index(e))] for e in basis]
+        return Endomorphism(group, list(zip(*(x.coords for x in preimages))))
 
 
 def make_endomorphism(

@@ -54,6 +54,9 @@ MAX_CANDIDATES = 10**8
 #: Largest group order for which the scan builds index tables.
 MAX_SCAN_ORDER = 1024
 
+#: Random-phase trials per seeded partition; partition i is seeded seed + i.
+PARTITION_SIZE = 1024
+
 
 class SearchSpaceError(ValueError):
     """The requested scan is too large to enumerate."""
@@ -65,16 +68,12 @@ class SearchConfig:
     denominator_cap: int = 6
     random_trials: int = 10_000
     seed: int = 0
-    include_idempotents: bool = True
-    partition_size: int = 1024
 
     def __post_init__(self):
         if self.support_size_cap < 1 or self.denominator_cap < 1:
             raise ValueError("caps must be >= 1")
         if self.random_trials < 0:
             raise ValueError("random_trials must be >= 0")
-        if self.partition_size < 1:
-            raise ValueError("partition_size must be >= 1")
 
     def to_json(self) -> dict:
         return {
@@ -82,8 +81,6 @@ class SearchConfig:
             "denominator_cap": self.denominator_cap,
             "random_trials": self.random_trials,
             "seed": self.seed,
-            "include_idempotents": self.include_idempotents,
-            "partition_size": self.partition_size,
         }
 
 
@@ -104,6 +101,21 @@ def classify_distribution(mu: Distribution) -> dict:
 
 
 _IDEMPOTENT_KINDS = ("degenerate", "idempotent-shift")
+
+
+def verdict_tags(class1: dict, class2: dict, kernel: Subgroup) -> tuple[str, ...]:
+    """Tags of a symmetric pair from its two classifications and
+    Ker(I + alpha).
+
+    An idempotent pair with a trivial kernel is what Theorem B predicts; a
+    non-idempotent pair is explained by a nontrivial kernel, and without
+    one it contradicts the theorem.
+    """
+    if class1["kind"] in _IDEMPOTENT_KINDS and class2["kind"] in _IDEMPOTENT_KINDS:
+        return ("theoremB-consistent",) if kernel.is_trivial else ()
+    if kernel.is_trivial:
+        return ("red-alert-nonidempotent",)
+    return ("kernel-counterexample",)
 
 
 @dataclass
@@ -150,23 +162,12 @@ def _report_for_hit(
     mu1: Distribution,
     mu2: Distribution,
     kernel: Subgroup,
-    i_plus_alpha_auto: bool,
     source: str,
 ) -> SymmetryReport:
     c1 = classify_distribution(mu1)
     c2 = classify_distribution(mu2)
-    idempotent = c1["kind"] in _IDEMPOTENT_KINDS and c2["kind"] in _IDEMPOTENT_KINDS
-    tags = []
-    if idempotent and i_plus_alpha_auto:
-        tags.append("theoremB-consistent")
-    if not idempotent:
-        if not kernel.is_trivial:
-            tags.append("kernel-counterexample")
-        if i_plus_alpha_auto:
-            tags.append("red-alert-nonidempotent")
-    return SymmetryReport(
-        group, alpha, mu1, mu2, True, c1, c2, kernel, tuple(tags), source
-    )
+    tags = verdict_tags(c1, c2, kernel)
+    return SymmetryReport(group, alpha, mu1, mu2, True, c1, c2, kernel, tags, source)
 
 
 def kernel_construction(
@@ -370,7 +371,7 @@ def grid_scan(
     index = group.index
     add = [[index(x + y) for y in elements] for x in elements]
     neg = [index(-x) for x in elements]
-    act = [index(alpha(x)) for x in elements]
+    act = alpha.table
 
     weights_by_size = {
         m: weight_vectors(m, config.denominator_cap)
@@ -380,9 +381,8 @@ def grid_scan(
     for m, vecs in weights_by_size.items():
         for support in combinations(range(n), m):
             candidates[support] = list(vecs)
-    if config.include_idempotents:
-        for support, vecs in _idempotent_candidates(group, config).items():
-            candidates.setdefault(support, []).extend(vecs)
+    for support, vecs in _idempotent_candidates(group, config).items():
+        candidates.setdefault(support, []).extend(vecs)
 
     total_candidates = sum(len(v) for v in candidates.values())
     if total_candidates**2 + config.random_trials > MAX_CANDIDATES:
@@ -391,7 +391,6 @@ def grid_scan(
         )
 
     kernel = (identity_endomorphism(group) + alpha).kernel()
-    i_plus_alpha_auto = len(kernel) == 1
 
     def make_distribution_from(support, weight_vec, denom):
         return Distribution(
@@ -403,9 +402,7 @@ def grid_scan(
     counts = {"symmetric": 0, "idempotent": 0, "degenerate": 0, "other": 0}
 
     def record_hit(mu1, mu2, source):
-        report = _report_for_hit(
-            group, alpha, mu1, mu2, kernel, i_plus_alpha_auto, source
-        )
+        report = _report_for_hit(group, alpha, mu1, mu2, kernel, source)
         hits.append(report)
         counts["symmetric"] += 1
         k1 = report.mu1_class["kind"]
@@ -460,7 +457,7 @@ def grid_scan(
     partition = 0
     while trials_done < config.random_trials:
         rng = random.Random(config.seed + partition)
-        block = min(config.partition_size, config.random_trials - trials_done)
+        block = min(PARTITION_SIZE, config.random_trials - trials_done)
         for _ in range(block):
             mu1 = random_distribution(
                 group, rng, config.support_size_cap, config.denominator_cap
@@ -479,7 +476,7 @@ def grid_scan(
         "alpha": endomorphism_to_json(alpha),
         "config": config.to_json(),
         "kernel": [list(e.coords) for e in kernel],
-        "i_plus_alpha_automorphism": i_plus_alpha_auto,
+        "i_plus_alpha_automorphism": kernel.is_trivial,
         "grid_candidates": total_candidates,
         "evaluated_pairs": total_candidates**2 + config.random_trials,
         "counts": counts,
@@ -589,9 +586,7 @@ def padic_scan(p: int, k: int, c: int, config: SearchConfig) -> PadicScanReport:
         )
         if not already:
             scan.hits.append(
-                _report_for_hit(
-                    group, alpha, inst.mu1, inst.mu2, kernel, False, "construction"
-                )
+                _report_for_hit(group, alpha, inst.mu1, inst.mu2, kernel, "construction")
             )
             scan.summary["counts"]["symmetric"] += 1
             scan.summary["counts"]["other"] += 1

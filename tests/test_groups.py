@@ -4,7 +4,7 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
 from heyde_lab.groups import (
     Endomorphism,
@@ -257,6 +257,34 @@ def test_invert_matrix_case():
     assert (endo @ inv) == identity_endomorphism(group)
 
 
+@given(st.sampled_from([[9, 3], [4, 2], [3, 3]]), st.data())
+def test_endomorphism_table_matches_enumeration(orders, data):
+    """is_auto, kernel(), image() and inverse() agree with alpha(x) applied
+    to every element, for compatible matrices with an off-diagonal entry."""
+    group = make_group(orders)
+    n = group.cyclic_orders
+    matrix = [[0, 0], [0, 0]]
+    for i in range(2):
+        for j in range(2):
+            g = math.gcd(n[i], n[j])
+            matrix[i][j] = (n[i] // g) * data.draw(st.integers(0, g - 1))
+    assume(matrix[0][1] or matrix[1][0])
+    endo = Endomorphism(group, matrix)
+    images = [endo(x) for x in group.elements]
+    bijective = len(set(images)) == group.order
+    assert endo.is_auto == bijective
+    assert endo.kernel().elements == tuple(
+        x for x, y in zip(group.elements, images) if y.is_zero
+    )
+    assert set(endo.image()) == set(images)
+    if bijective:
+        inv = endo.inverse()
+        assert all(inv(y) == x for x, y in zip(group.elements, images))
+    else:
+        with pytest.raises(ValueError):
+            endo.inverse()
+
+
 @given(st.sampled_from(SMALL_ORDERS), st.data())
 def test_endomorphism_additive_action(orders, data):
     """(a + b)(x) == a(x) + b(x) and (a @ b)(x) == a(b(x))."""
@@ -285,6 +313,10 @@ def test_subgroup_closure_validated():
     g9 = make_group([9])
     with pytest.raises(ValueError):
         Subgroup(g9, [elem(g9, 0), elem(g9, 3)])  # 3+3=6 missing
+    g33 = make_group([3, 3])
+    axes = [elem(g33, a, 0) for a in range(3)] + [elem(g33, 0, b) for b in (1, 2)]
+    with pytest.raises(ValueError):
+        Subgroup(g33, axes)  # <(1,0)> u <(0,1)>: (1,0)+(0,1) missing
 
 
 def test_annihilator_examples():
