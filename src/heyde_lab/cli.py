@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -102,6 +103,10 @@ def _search_config(args: argparse.Namespace) -> SearchConfig:
 
 
 def cmd_check(args: argparse.Namespace, out: TextIO) -> int:
+    if not math.isfinite(args.tolerance) or args.tolerance < 0:
+        raise ValueError(
+            f"--tolerance must be finite and >= 0, got {args.tolerance}"
+        )
     manifest = build_manifest(
         "check", [args.instance], {"tolerance": args.tolerance}
     )

@@ -13,7 +13,10 @@ and hence vanishes on a finite group.
 
 On a finite group every function is continuous and the neighbourhood
 bookkeeping of the continuous setting collapses: all identities are checked
-globally.
+globally.  Each chain's increment ladder is defined once, as endomorphisms
+of the adjoint; the chain functions apply it to group elements, and the
+residual scans and quadratic checks run over value lists in element order
+with the group's translation rows.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .distributions import Distribution, char_values_list
-from .groups import Endomorphism, FiniteAbelianGroup, GroupElement
+from .groups import (
+    Endomorphism,
+    FiniteAbelianGroup,
+    GroupElement,
+    identity_endomorphism,
+)
 
 #: Residual tolerance for difference chains.  Looser than the predicate
 #: tolerance: each residual accumulates three logarithms and three
@@ -58,6 +66,11 @@ class GroupFunction:
 
     def max_abs(self) -> float:
         return max(abs(v) for v in self.values.values())
+
+
+def _values(f: GroupFunction) -> list[float]:
+    """f's values in element order."""
+    return [f.values[y] for y in f.group.elements]
 
 
 def zero_function(group: FiniteAbelianGroup) -> GroupFunction:
@@ -107,6 +120,37 @@ def neg_log_char(mu: Distribution) -> GroupFunction:
     return GroupFunction(group, out)
 
 
+def _heyde_ladder(alpha_adj: Endomorphism) -> tuple[tuple, tuple]:
+    """Increment ladders of the symmetry chain, for phi1 and for phi2.
+
+    Rung (endo, k) of a ladder takes the difference along endo(k-th
+    increment); the three rungs are applied in order.
+    """
+    ident = identity_endomorphism(alpha_adj.group)
+    i_plus = ident + alpha_adj
+    i_minus = ident - alpha_adj
+    return (
+        ((i_plus, 0), (2 * ident, 1), (i_minus, 2)),
+        ((2 * alpha_adj, 0), (i_plus, 1), (-i_minus, 2)),
+    )
+
+
+def _m_forms_ladder(alpha_adj: Endomorphism) -> tuple[tuple, tuple]:
+    """Increment ladders of the independence chain, for P and for Q."""
+    ident = identity_endomorphism(alpha_adj.group)
+    i_plus = ident + alpha_adj
+    return (
+        ((i_plus, 0), (2 * ident, 1), (ident, 2)),
+        ((-2 * alpha_adj, 0), (-i_plus, 1), (ident, 3)),
+    )
+
+
+def _climb(
+    f: GroupFunction, ladder: tuple, increments: Sequence[GroupElement]
+) -> GroupFunction:
+    return iterated_difference(f, [endo(increments[k]) for endo, k in ladder])
+
+
 def heyde_difference_chain(
     phi1: GroupFunction,
     phi2: GroupFunction,
@@ -127,18 +171,9 @@ def heyde_difference_chain(
     Both vanish identically when phi1, phi2 come from a conditionally
     symmetric instance with strictly positive characteristic functions.
     """
-    ak1 = alpha_adj(k1)
-    ak2 = alpha_adj(k2)
-    ak3 = alpha_adj(k3)
-    l11 = k1 + ak1
-    l12 = ak1 + ak1
-    l21 = k2 + k2
-    l22 = k2 + ak2
-    l31 = k3 - ak3
-    l32 = -l31
-    r1 = iterated_difference(phi1, (l11, l21, l31))
-    r2 = iterated_difference(phi2, (l12, l22, l32))
-    return r1, r2
+    ladder1, ladder2 = _heyde_ladder(alpha_adj)
+    increments = (k1, k2, k3)
+    return _climb(phi1, ladder1, increments), _climb(phi2, ladder2, increments)
 
 
 @dataclass
@@ -188,24 +223,22 @@ def m_forms_difference_chain(
     the quadratic identity (see :func:`quadratic_check`).
     """
     p, q = quadratic_candidate(psi1, psi2, alpha_adj)
-    ah1 = alpha_adj(h1)
-    lp1 = h1 + ah1
-    lp2 = h2 + h2
-    lq1 = -(ah1 + ah1)
-    lq2 = -(h2 + alpha_adj(h2))
-    residual_p = iterated_difference(p, (lp1, lp2, h))
-    residual_q = iterated_difference(q, (lq1, lq2, k))
-    return MFormsChainResult(p, q, residual_p, residual_q)
+    ladder_p, ladder_q = _m_forms_ladder(alpha_adj)
+    increments = (h1, h2, h, k)
+    return MFormsChainResult(
+        p, q, _climb(p, ladder_p, increments), _climb(q, ladder_q, increments)
+    )
 
 
 def quadratic_check(phi: GroupFunction, tol: float = 1e-9) -> bool:
     """Whether phi(u+v) + phi(u-v) == 2*(phi(u) + phi(v)) for all u, v."""
     group = phi.group
-    vals = phi.values
-    for u in group.elements:
-        pu = vals[u]
-        for v in group.elements:
-            if abs(vals[u + v] + vals[u - v] - 2.0 * (pu + vals[v])) > tol:
+    vals = _values(phi)
+    neg = group.negation_table()
+    for u, pu in enumerate(vals):
+        row = group.translation_row(u)
+        for v, minus_v in enumerate(neg):
+            if abs(vals[row[v]] + vals[row[minus_v]] - 2.0 * (pu + vals[v])) > tol:
                 return False
     return True
 
@@ -250,17 +283,54 @@ def quadratic_vanishing(group: FiniteAbelianGroup) -> QuadraticVanishingRecord:
     return QuadraticVanishingRecord(group, tuple(steps), valid)
 
 
-def _increment_images(
-    endo_images: Sequence[GroupElement],
-) -> list[GroupElement]:
-    """Deduplicated increment values, in deterministic element order."""
-    seen = []
-    seen_set = set()
-    for v in endo_images:
-        if v not in seen_set:
-            seen_set.add(v)
-            seen.append(v)
-    return seen
+def _difference(values: list[float], row: list[int]) -> list[float]:
+    """Values of D_h f, given f's values and the translation row of h."""
+    return [values[t] - v for t, v in zip(row, values)]
+
+
+def _max_residual(
+    group: FiniteAbelianGroup,
+    chains: Sequence[tuple[list[float], tuple]],
+    draws: int,
+    seed: int,
+    random_triples: int,
+) -> tuple[float, tuple[GroupElement, ...]]:
+    """Largest |D_{l3} D_{l2} D_{l1} f| over the chains (f's values, ladder).
+
+    A residual depends on the increments only through the ladder values, so
+    the exhaustive scan runs over the distinct values of each rung, in
+    element order, and reports the worst ladder values.  Above
+    FULL_ENUMERATION_LIMIT, each of ``random_triples`` seeded trials draws
+    ``draws`` increments, and the worst trial's first three are reported.
+    """
+    n = group.order
+    worst = (0.0, (0, 0, 0))
+    if n**3 <= FULL_ENUMERATION_LIMIT:
+        rows = [group.translation_row(i) for i in range(n)]
+        for values, ladder in chains:
+            ones, twos, threes = (list(dict.fromkeys(e.table)) for e, _k in ladder)
+            for l1 in ones:
+                d1 = _difference(values, rows[l1])
+                for l2 in twos:
+                    d2 = _difference(d1, rows[l2])
+                    for l3 in threes:
+                        r = max(map(abs, _difference(d2, rows[l3])))
+                        if r > worst[0]:
+                            worst = (r, (l1, l2, l3))
+    else:
+        rng = random.Random(seed)
+        for _ in range(random_triples):
+            drawn = [rng.choice(range(n)) for _ in range(draws)]
+            residuals = []
+            for values, ladder in chains:
+                for endo, k in ladder:
+                    row = group.translation_row(endo.table[drawn[k]])
+                    values = _difference(values, row)
+                residuals.append(max(map(abs, values)))
+            r = max(residuals)
+            if r > worst[0]:
+                worst = (r, tuple(drawn[:3]))
+    return worst[0], tuple(group.elements[i] for i in worst[1])
 
 
 def max_chain_residual(
@@ -273,49 +343,14 @@ def max_chain_residual(
 ) -> tuple[float, tuple[GroupElement, ...]]:
     """Largest symmetry-chain residual over increment triples.
 
-    Each residual depends on the original increments only through the
-    ladder values, so the scan deduplicates those first and enumerates the
-    distinct combinations; this is exhaustive whenever |Y|^3 is below
-    FULL_ENUMERATION_LIMIT, otherwise RANDOM_TRIPLES random triples are
-    drawn with the given seed.
+    Exhaustive over the distinct ladder values of
+    :func:`heyde_difference_chain` whenever |Y|^3 is below
+    FULL_ENUMERATION_LIMIT, otherwise over RANDOM_TRIPLES random triples
+    (k1, k2, k3) drawn with the given seed.
     """
-    group = phi1.group
-    elements = group.elements
-    ident_plus = [y + alpha_adj(y) for y in elements]
-    doubled_adj = [alpha_adj(y) + alpha_adj(y) for y in elements]
-    doubled = [y + y for y in elements]
-    minus_adj = [y - alpha_adj(y) for y in elements]
-
-    worst = (0.0, (group.zero, group.zero, group.zero))
-    if group.order**3 <= FULL_ENUMERATION_LIMIT:
-        l1_first = _increment_images(ident_plus)
-        l1_second = _increment_images(doubled_adj)
-        l2_first = _increment_images(doubled)
-        l2_second = _increment_images(ident_plus)
-        l3_first = _increment_images(minus_adj)
-        l3_second = [-v for v in l3_first]
-        for phi, ones, twos, threes in (
-            (phi1, l1_first, l2_first, l3_first),
-            (phi2, l1_second, l2_second, l3_second),
-        ):
-            for l1 in ones:
-                d1 = finite_difference(phi, l1)
-                for l2 in twos:
-                    d2 = finite_difference(d1, l2)
-                    for l3 in threes:
-                        r = finite_difference(d2, l3).max_abs()
-                        if r > worst[0]:
-                            worst = (r, (l1, l2, l3))
-        return worst
-
-    rng = random.Random(seed)
-    for _ in range(random_triples):
-        k1, k2, k3 = (rng.choice(elements) for _ in range(3))
-        r1, r2 = heyde_difference_chain(phi1, phi2, alpha_adj, k1, k2, k3)
-        r = max(r1.max_abs(), r2.max_abs())
-        if r > worst[0]:
-            worst = (r, (k1, k2, k3))
-    return worst
+    ladder1, ladder2 = _heyde_ladder(alpha_adj)
+    chains = [(_values(phi1), ladder1), (_values(phi2), ladder2)]
+    return _max_residual(phi1.group, chains, 3, seed, random_triples)
 
 
 def max_m_forms_residual(
@@ -326,50 +361,26 @@ def max_m_forms_residual(
     seed: int = 0,
     random_triples: int = RANDOM_TRIPLES,
 ) -> tuple[float, tuple[GroupElement, ...]]:
-    """Largest independence-chain residual over increments, deduplicating
-    ladder values as in :func:`max_chain_residual`."""
-    group = psi1.group
-    elements = group.elements
+    """Largest independence-chain residual over increments, as in
+    :func:`max_chain_residual`; random trials draw (h1, h2, h, k) of
+    :func:`m_forms_difference_chain` and report (h1, h2, h)."""
     p, q = quadratic_candidate(psi1, psi2, alpha_adj)
-    ident_plus = [y + alpha_adj(y) for y in elements]
-    doubled = [y + y for y in elements]
-    doubled_adj = [alpha_adj(y) + alpha_adj(y) for y in elements]
-
-    worst = (0.0, (group.zero, group.zero, group.zero))
-    if group.order**3 <= FULL_ENUMERATION_LIMIT:
-        for func, ones, twos in (
-            (p, _increment_images(ident_plus), _increment_images(doubled)),
-            (
-                q,
-                [-v for v in _increment_images(doubled_adj)],
-                [-v for v in _increment_images(ident_plus)],
-            ),
-        ):
-            for l1 in ones:
-                d1 = finite_difference(func, l1)
-                for l2 in twos:
-                    d2 = finite_difference(d1, l2)
-                    for l3 in elements:
-                        r = finite_difference(d2, l3).max_abs()
-                        if r > worst[0]:
-                            worst = (r, (l1, l2, l3))
-        return worst
-
-    rng = random.Random(seed)
-    for _ in range(random_triples):
-        h1, h2, hh, kk = (rng.choice(elements) for _ in range(4))
-        res = m_forms_difference_chain(psi1, psi2, alpha_adj, h1, h2, hh, kk)
-        r = max(res.residual_p.max_abs(), res.residual_q.max_abs())
-        if r > worst[0]:
-            worst = (r, (h1, h2, hh))
-    return worst
+    ladder_p, ladder_q = _m_forms_ladder(alpha_adj)
+    chains = [(_values(p), ladder_p), (_values(q), ladder_q)]
+    return _max_residual(psi1.group, chains, 4, seed, random_triples)
 
 
 def max_third_difference(f: GroupFunction) -> float:
     """max over h, y of |D_h^3 f(y)|."""
+    group = f.group
+    base = _values(f)
     worst = 0.0
-    for h in f.group.elements:
-        worst = max(worst, iterated_difference(f, (h, h, h)).max_abs())
+    for h in range(group.order):
+        row = group.translation_row(h)
+        values = base
+        for _ in range(3):
+            values = _difference(values, row)
+        worst = max(worst, max(map(abs, values)))
     return worst
 
 

@@ -6,11 +6,15 @@ through the fixed pairing (x, y) = exp(2*pi*i * sum_j x_j*y_j / n_j), so a
 matrices acting on residue vectors; a congruence condition on the entries
 guarantees the action is well defined.
 
-Everything here is desk scale.  An endomorphism walks the group once, into
-a table of element indices, and reads ``is_auto``, its kernel, image and
-inverse off that table.  Subgroups are closed coset by coset from their
-generators, and a subgroup given by its elements is validated by closing
-generators picked from inside it.  Annihilators are found by enumeration.
+Everything here is desk scale.  Only this module knows element indices:
+coordinate m of element i is (i // s_m) % n_m for fixed strides s_m, and
+loops over all elements or pairs read ``negation_table()`` and
+``translation_row(i)``, computed from those digits.  An endomorphism walks
+the group once, into a table of element indices, and reads ``is_auto``, its
+kernel, image and inverse off that table.  Subgroups are closed coset by
+coset from their generators, and a subgroup given by its elements is
+validated by closing generators picked from inside it.  Annihilators are
+found by enumeration.
 """
 
 from __future__ import annotations
@@ -40,6 +44,15 @@ class IncompatibleMatrixError(ValueError):
         self.entry = entry
 
 
+def _digit_sums(columns: Iterable[Sequence[int]]) -> list[int]:
+    """columns[m][e_m] summed over the coordinates m, for each coordinate
+    vector e in lexicographic order."""
+    sums = [0]
+    for column in columns:
+        sums = [t + c for t in sums for c in column]
+    return sums
+
+
 class FiniteAbelianGroup:
     """Z_{n_1} x ... x Z_{n_k} with a fixed lexicographic element order."""
 
@@ -66,8 +79,9 @@ class FiniteAbelianGroup:
         self.exponent = math.lcm(*orders)
         # weights turning the pairing sum into a single residue mod exponent
         self._pair_weights = tuple(self.exponent // n for n in orders)
+        # lexicographic order: the last coordinate varies fastest
+        self._strides = tuple(math.prod(orders[m + 1 :]) for m in range(self.rank))
         self._elements: tuple[GroupElement, ...] | None = None
-        self._index: dict[tuple[int, ...], int] | None = None
         self._roots: tuple[complex, ...] | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -110,9 +124,21 @@ class FiniteAbelianGroup:
 
     def index(self, x: GroupElement) -> int:
         """Lexicographic rank of an element."""
-        if self._index is None:
-            self._index = {e.coords: i for i, e in enumerate(self.elements)}
-        return self._index[x.coords]
+        return sum(c * s for c, s in zip(x.coords, self._strides))
+
+    def negation_table(self) -> list[int]:
+        """Index of -x_i for each element index i."""
+        return _digit_sums(
+            [-e % n * s for e in range(n)]
+            for n, s in zip(self.cyclic_orders, self._strides)
+        )
+
+    def translation_row(self, i: int) -> list[int]:
+        """Index of x_i + x_j for each element index j."""
+        return _digit_sums(
+            [(i // s + e) % n * s for e in range(n)]
+            for n, s in zip(self.cyclic_orders, self._strides)
+        )
 
     def pairing_exponent(self, x: GroupElement, y: GroupElement) -> int:
         """Integer t with (x, y) = exp(2*pi*i*t / exponent), 0 <= t < exponent."""
@@ -332,10 +358,6 @@ def trivial_subgroup(group: FiniteAbelianGroup) -> Subgroup:
     return Subgroup(group, [group.zero], generators=[])
 
 
-def full_subgroup(group: FiniteAbelianGroup) -> Subgroup:
-    return Subgroup(group, group.elements)
-
-
 def annihilator(sub: Subgroup) -> Subgroup:
     """Characters that are 1 on the whole subgroup (living in the same group
     by self-duality)."""
@@ -497,9 +519,8 @@ class Endomorphism:
         if not self.is_auto:
             raise ValueError("cannot invert: not an automorphism")
         group = self.group
-        k = group.rank
-        basis = [group.element([int(m == j) for m in range(k)]) for j in range(k)]
-        preimages = [group.elements[self.table.index(group.index(e))] for e in basis]
+        # the j-th basis vector has index strides[j]
+        preimages = [group.elements[self.table.index(s)] for s in group._strides]
         return Endomorphism(group, list(zip(*(x.coords for x in preimages))))
 
 

@@ -153,16 +153,16 @@ def heyde_equation_check(inst: FormsInstance, tol: float = CHAR_TOL) -> bool:
             "coefficient shape; canonicalize first"
         )
     group = inst.group
-    elements = group.elements
     f1 = char_values_list(inst.mu1)
     f2 = char_values_list(inst.mu2)
-    index = group.index
-    adj = inst.beta2.adjoint()
-    adj_of = [adj(v) for v in elements]
-    for u in elements:
-        for v, av in zip(elements, adj_of):
-            lhs = f1[index(u + v)] * f2[index(u + av)]
-            rhs = f1[index(u - v)] * f2[index(u - av)]
+    neg = group.negation_table()
+    adj = inst.beta2.adjoint().table
+    terms = [(v, av, neg[v], neg[av]) for v, av in enumerate(adj)]
+    for u in range(group.order):
+        row = group.translation_row(u)
+        for v, av, minus_v, minus_av in terms:
+            lhs = f1[row[v]] * f2[row[av]]
+            rhs = f1[row[minus_v]] * f2[row[minus_av]]
             if abs(lhs - rhs) > tol:
                 return False
     return True
@@ -210,23 +210,20 @@ def independence_equation_check(inst: FormsInstance, tol: float = CHAR_TOL) -> b
     :func:`are_forms_independent`.
     """
     group = inst.group
-    elements = group.elements
     f1 = char_values_list(inst.mu1)
     f2 = char_values_list(inst.mu2)
-    index = group.index
-    a1 = inst.alpha1.adjoint()
-    a2 = inst.alpha2.adjoint()
-    b1 = inst.beta1.adjoint()
-    b2 = inst.beta2.adjoint()
-    a1u = [a1(u) for u in elements]
-    a2u = [a2(u) for u in elements]
-    b1v = [b1(v) for v in elements]
-    b2v = [b2(v) for v in elements]
-    for i in range(len(elements)):
-        fu = f1[index(a1u[i])] * f2[index(a2u[i])]
-        for j in range(len(elements)):
-            lhs = f1[index(a1u[i] + b1v[j])] * f2[index(a2u[i] + b2v[j])]
-            rhs = fu * f1[index(b1v[j])] * f2[index(b2v[j])]
+    a1, a2, b1, b2 = (
+        coeff.adjoint().table
+        for coeff in (inst.alpha1, inst.alpha2, inst.beta1, inst.beta2)
+    )
+    b_terms = list(zip(b1, b2))
+    for u1, u2 in zip(a1, a2):
+        row1 = group.translation_row(u1)
+        row2 = group.translation_row(u2)
+        fu = f1[u1] * f2[u2]
+        for v1, v2 in b_terms:
+            lhs = f1[row1[v1]] * f2[row2[v2]]
+            rhs = fu * f1[v1] * f2[v2]
             if abs(lhs - rhs) > tol:
                 return False
     return True

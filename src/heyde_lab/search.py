@@ -36,6 +36,7 @@ from .groups import (
     order2_subgroup,
     scaling_endomorphism,
     subgroup_generated,
+    trivial_subgroup,
 )
 from .predicates import (
     FormsInstance,
@@ -219,11 +220,9 @@ def order2_construction(
 
 def all_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
     """Every subgroup, grown by repeatedly adjoining one generator."""
-    zero = frozenset({group.zero})
-    seen: dict[frozenset, Subgroup] = {
-        zero: Subgroup(group, [group.zero], generators=[])
-    }
-    frontier = [seen[zero]]
+    trivial = trivial_subgroup(group)
+    seen: dict[frozenset, Subgroup] = {frozenset(trivial.elements): trivial}
+    frontier = [trivial]
     while frontier:
         new = []
         for sub in frontier:
@@ -325,16 +324,16 @@ def _idempotent_candidates(
     group: FiniteAbelianGroup, config: SearchConfig
 ) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]]:
     """Uniform-on-coset candidates not already covered by the grid."""
-    index = group.index
     extras: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     covered_by_grid = min(config.support_size_cap, config.denominator_cap)
     for sub in all_subgroups(group):
         size = len(sub)
         if size <= covered_by_grid:
             continue
+        rows = [group.translation_row(group.index(e)) for e in sub]
         seen = set()
-        for x in group.elements:
-            coset = tuple(sorted(index(e + x) for e in sub))
+        for x in range(group.order):
+            coset = tuple(sorted(row[x] for row in rows))
             if coset in seen:
                 continue
             seen.add(coset)
@@ -368,9 +367,8 @@ def grid_scan(
         )
 
     elements = group.elements
-    index = group.index
-    add = [[index(x + y) for y in elements] for x in elements]
-    neg = [index(-x) for x in elements]
+    add = [group.translation_row(i) for i in range(n)]
+    neg = group.negation_table()
     act = alpha.table
 
     weights_by_size = {

@@ -438,4 +438,6 @@ def run_suite(name: str, *, seed: int = 0, trials: int | None = None) -> SuiteRe
     func = SUITES[name]
     if trials is None:
         return func(seed=seed)
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     return func(seed=seed, trials=trials)

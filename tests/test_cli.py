@@ -217,6 +217,14 @@ def test_check_disagreement_exits_3(tmp_path, monkeypatch):
     assert not report["agreement"]["symmetric_vs_eq42"]
 
 
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_check_rejects_bad_tolerance(tmp_path, tolerance, capsys):
+    path = write(tmp_path, "inst.json", KERNEL_INSTANCE)
+    code, output = run_cli(["check", path, "--tolerance", tolerance])
+    assert code == 2 and output == ""
+    assert "--tolerance" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------
@@ -328,6 +336,12 @@ def test_verify_lemma1_reduced():
     )
     assert code == 0
     assert "lemma1: PASS" in output
+
+
+def test_verify_rejects_negative_trials(capsys):
+    code, output = run_cli(["verify", "--suite", "lemma8", "--trials", "-3"])
+    assert code == 2 and output == ""
+    assert "trials" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

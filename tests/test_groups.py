@@ -63,6 +63,19 @@ def test_element_order_is_lexicographic():
     assert coords == sorted(coords)
 
 
+@pytest.mark.parametrize("orders", [[4, 2], [2, 6], [9, 3], [3, 3, 3]])
+def test_index_tables_match_element_arithmetic(orders):
+    """The index core on mixed-radix products: ranks, negation and every
+    translation row agree with GroupElement arithmetic."""
+    group = make_group(orders)
+    elements = group.elements
+    assert [group.index(x) for x in elements] == list(range(group.order))
+    assert [elements[t] for t in group.negation_table()] == [-x for x in elements]
+    for i, x in enumerate(elements):
+        row = group.translation_row(i)
+        assert [elements[t] for t in row] == [x + y for y in elements]
+
+
 def test_element_arithmetic_reduces():
     group = make_group([9, 3])
     x = elem(group, 7, 2)
