@@ -7,7 +7,12 @@ elements (where every value equals its own negative).  The grid scan
 enumerates exact-rational distribution pairs up to configurable support and
 denominator caps (plus all shifted uniform-on-subgroup candidates and a
 batch of random pairs), decides symmetry exactly for each pair, and
-classifies every symmetric hit.  A finite-level scan over the cyclic
+classifies every symmetric hit.  Both phases of the scan decide symmetry
+with one integer kernel over element indices: a support pair is feasible
+when its set of occupied joint-cell keys contains every mirror key, and a
+feasible pair is symmetric when the integer weights of each cell and its
+mirror agree.  Every random-phase hit is confirmed by the exact Fraction
+predicate before it is recorded.  A finite-level scan over the cyclic
 p-power groups tags its outcome by the leading base-p digit of the
 multiplier.
 
@@ -257,6 +262,16 @@ def random_distribution(
     )
 
 
+def _index_weights(mu: Distribution) -> tuple[list[int], list[int]]:
+    """Element indices of mu's support and integer weights proportional to
+    its masses: each numerator times lcm(denominators) // denominator."""
+    group = mu.group
+    common = math.lcm(*(p.denominator for p in mu.probs.values()))
+    support = [group.index(x) for x in mu.probs]
+    weights = [p.numerator * (common // p.denominator) for p in mu.probs.values()]
+    return support, weights
+
+
 def random_automorphism(
     group: FiniteAbelianGroup, rng: random.Random, max_tries: int = 2000
 ) -> Endomorphism:
@@ -346,12 +361,17 @@ def grid_scan(
 ) -> ScanResult:
     """Enumerate distribution pairs, decide symmetry exactly, classify hits.
 
-    The grid phase walks ordered support pairs first: within a support
-    pair, an occupied joint cell (s, t) whose mirror (s, -t) is unoccupied
-    proves every strictly positive weight assignment asymmetric, so the
-    weight enumeration only runs on support pairs passing that filter.
-    The random phase draws config.random_trials extra pairs in seeded
-    partitions.  Deterministic given (seed, caps).
+    Both phases share one integer kernel.  With (s, t) = (x_a + y_b,
+    x_a + alpha y_b) the joint cell of support elements x_a and y_b, a
+    support pair is feasible only if its occupied cells include the mirror
+    (s, -t) of each, since an empty mirror makes every strictly positive
+    weight assignment asymmetric; a feasible pair is symmetric when each
+    cell and its mirror carry equal integer weight.  The grid phase
+    enumerates weights only on feasible ordered support pairs.  The random
+    phase draws config.random_trials pairs in seeded partitions, reads
+    each as an index support with integer weights, and confirms every hit
+    with the exact predicate, raising RuntimeError on a disagreement.
+    Deterministic given (seed, caps).
     """
     if alpha.group != group:
         raise ValueError("alpha acts on a different group")
@@ -365,11 +385,6 @@ def grid_scan(
             f"search space of {grid_count}^2 grid pairs + "
             f"{config.random_trials} trials exceeds {MAX_CANDIDATES} candidates"
         )
-
-    elements = group.elements
-    add = [group.translation_row(i) for i in range(n)]
-    neg = group.negation_table()
-    act = alpha.table
 
     weights_by_size = {
         m: weight_vectors(m, config.denominator_cap)
@@ -389,6 +404,46 @@ def grid_scan(
         )
 
     kernel = (identity_endomorphism(group) + alpha).kernel()
+
+    neg = group.negation_table()
+    act = alpha.table
+    # keys[x][y] = s*n + t for the joint cell (s, t) = (x + y, x + alpha y);
+    # mirrors[x][y] = s*n + neg[t] for its mirror (s, -t).
+    keys: list[list[int]] = []
+    mirrors: list[list[int]] = []
+    for x in range(n):
+        row = group.translation_row(x)
+        ts = [row[a] for a in act]
+        keys.append([s * n + t for s, t in zip(row, ts)])
+        mirrors.append([s * n + neg[t] for s, t in zip(row, ts)])
+
+    def cell_comparisons(sup_a, sup_b):
+        """(cell, mirror) lists of support positions (i, j) whose joint
+        weights must agree, or None when the pair is infeasible."""
+        rows = [keys[x] for x in sup_a]
+        occupied = {row[y] for row in rows for y in sup_b}
+        if not occupied.issuperset([mirrors[x][y] for x in sup_a for y in sup_b]):
+            return None
+        cells: dict[int, list[tuple[int, int]]] = {}
+        for i, row in enumerate(rows):
+            for j, y in enumerate(sup_b):
+                cells.setdefault(row[y], []).append((i, j))
+        comparisons = []
+        for key, cell in cells.items():
+            t = key % n
+            if t < neg[t]:
+                comparisons.append((cell, cells[key - t + neg[t]]))
+        return comparisons
+
+    def balanced(comparisons, wa, wb):
+        for cell, mirror in comparisons:
+            lhs = sum(wa[i] * wb[j] for i, j in cell)
+            rhs = sum(wa[i] * wb[j] for i, j in mirror)
+            if lhs != rhs:
+                return False
+        return True
+
+    elements = group.elements
 
     def make_distribution_from(support, weight_vec, denom):
         return Distribution(
@@ -415,36 +470,19 @@ def grid_scan(
     support_list = sorted(candidates)
     for sup_a in support_list:
         vecs_a = candidates[sup_a]
+        # An element y of a feasible sup_b has the mirrors of its cells with
+        # sup_a occupied by cells of sup_a x X, so test that first.
+        reach = set().union(*(keys[x] for x in sup_a))
+        viable = {y for y in range(n) if all(mirrors[x][y] in reach for x in sup_a)}
         for sup_b in support_list:
-            vecs_b = candidates[sup_b]
-            cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
-            for i, xa in enumerate(sup_a):
-                row = add[xa]
-                for j, yb in enumerate(sup_b):
-                    key = (row[yb], row[act[yb]])
-                    cells.setdefault(key, []).append((i, j))
-            comparisons = []
-            feasible = True
-            for (s, t), cell in cells.items():
-                tn = neg[t]
-                mirror = cells.get((s, tn))
-                if mirror is None:
-                    feasible = False
-                    break
-                if t < tn:
-                    comparisons.append((cell, mirror))
-            if not feasible:
+            if not viable.issuperset(sup_b):
+                continue
+            comparisons = cell_comparisons(sup_a, sup_b)
+            if comparisons is None:
                 continue
             for wa, da in vecs_a:
-                for wb, db in vecs_b:
-                    symmetric = True
-                    for cell, mirror in comparisons:
-                        lhs = sum(wa[i] * wb[j] for i, j in cell)
-                        rhs = sum(wa[i] * wb[j] for i, j in mirror)
-                        if lhs != rhs:
-                            symmetric = False
-                            break
-                    if symmetric:
+                for wb, db in candidates[sup_b]:
+                    if balanced(comparisons, wa, wb):
                         record_hit(
                             make_distribution_from(sup_a, wa, da),
                             make_distribution_from(sup_b, wb, db),
@@ -463,9 +501,19 @@ def grid_scan(
             mu2 = random_distribution(
                 group, rng, config.support_size_cap, config.denominator_cap
             )
-            inst = canonical_instance(group, alpha, mu1, mu2)
-            if is_conditionally_symmetric(inst):
-                record_hit(mu1, mu2, "random")
+            sup1, w1 = _index_weights(mu1)
+            sup2, w2 = _index_weights(mu2)
+            comparisons = cell_comparisons(sup1, sup2)
+            if comparisons is None or not balanced(comparisons, w1, w2):
+                continue
+            if not is_conditionally_symmetric(
+                canonical_instance(group, alpha, mu1, mu2)
+            ):
+                raise RuntimeError(
+                    "integer symmetry kernel disagrees with the exact "
+                    "predicate on a random pair; this is a bug"
+                )
+            record_hit(mu1, mu2, "random")
         trials_done += block
         partition += 1
 

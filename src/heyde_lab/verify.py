@@ -306,7 +306,7 @@ def _chain_instances(seed: int) -> list[FormsInstance]:
     ]
 
 
-def suite_chain16(seed: int = 0, trials: int = 0) -> SuiteResult:
+def suite_chain16(seed: int = 0) -> SuiteResult:
     """Triple-difference residuals of the symmetry equation vanish on
     symmetric instances with strictly positive symmetrized transforms."""
     failures = []
@@ -322,7 +322,7 @@ def suite_chain16(seed: int = 0, trials: int = 0) -> SuiteResult:
     return _result("chain16", len(insts), failures, max_residual=worst_overall)
 
 
-def suite_chain10(seed: int = 0, trials: int = 0) -> SuiteResult:
+def suite_chain10(seed: int = 0) -> SuiteResult:
     """Independence-chain residuals vanish; with trivial Ker(I + alpha) the
     diagonal P has vanishing third differences, satisfies the quadratic
     identity, and is identically zero."""
@@ -432,6 +432,11 @@ SUITES = {
 }
 
 
+#: Suites that check a fixed instance pool drawn from the seed and take no
+#: trial count.
+UNTRIALED_SUITES = ("chain16", "chain10")
+
+
 def run_suite(name: str, *, seed: int = 0, trials: int | None = None) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
@@ -440,4 +445,9 @@ def run_suite(name: str, *, seed: int = 0, trials: int | None = None) -> SuiteRe
         return func(seed=seed)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if name in UNTRIALED_SUITES:
+        raise ValueError(
+            f"suite {name} takes no trial count: it checks a fixed instance "
+            "pool drawn from the seed"
+        )
     return func(seed=seed, trials=trials)

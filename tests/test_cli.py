@@ -344,6 +344,22 @@ def test_verify_rejects_negative_trials(capsys):
     assert "trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["chain16", "chain10"])
+def test_verify_chain_suite_refuses_trials(suite, capsys):
+    code, output = run_cli(["verify", "--suite", suite, "--trials", "5"])
+    assert code == 2 and output == ""
+    assert f"suite {suite}" in capsys.readouterr().err
+
+
+def test_verify_all_runs_chain_suites_without_trials():
+    code, output = run_cli(["verify", "--suite", "all", "--trials", "1"])
+    assert code == 0
+    for suite in ("chain16", "chain10"):
+        alone_code, alone = run_cli(["verify", "--suite", suite])
+        assert alone_code == 0
+        assert alone in output
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     code = run(["verify", "--suite", "nope"], out=io.StringIO())
     capsys.readouterr()

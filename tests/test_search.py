@@ -1,21 +1,26 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from heyde_lab.distributions import haar_on, make_distribution, point_mass, uniform
+from heyde_lab import search
+from heyde_lab.distributions import Distribution
 from heyde_lab.groups import (
     identity_endomorphism,
     make_group,
+    neg_identity_endomorphism,
     scaling_endomorphism,
     subgroup_generated,
 )
-from heyde_lab.predicates import is_conditionally_symmetric
+from heyde_lab.predicates import canonical_instance, is_conditionally_symmetric
 from heyde_lab.search import (
     PADIC_TAG_KERNEL,
     PADIC_TAG_P2,
     PADIC_TAG_UNIT,
+    PARTITION_SIZE,
     SearchConfig,
     SearchSpaceError,
     all_subgroups,
@@ -235,6 +240,114 @@ def test_scan_hits_verified_against_predicate():
     for r in result.hits:
         inst = canonical_instance(r.group, r.alpha, r.mu1, r.mu2)
         assert is_conditionally_symmetric(inst)
+
+
+def _non_diagonal_automorphism(group, seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        alpha = random_automorphism(group, rng)
+        m = alpha.matrix
+        if any(m[i][j] or m[j][i] for i in range(group.rank) for j in range(i)):
+            return alpha
+    raise AssertionError(f"no non-diagonal automorphism of {group} drawn")
+
+
+def _symmetric(group, alpha, mu1, mu2):
+    return is_conditionally_symmetric(canonical_instance(group, alpha, mu1, mu2))
+
+
+@pytest.mark.parametrize(
+    "orders, make_alpha, caps",
+    [
+        ([2, 6], lambda g: _non_diagonal_automorphism(g, 1), (3, 4)),
+        ([3, 3], lambda g: _non_diagonal_automorphism(g, 2), (3, 4)),
+        ([8], lambda g: scaling_endomorphism(g, 3), (2, 3)),
+        ([9], neg_identity_endomorphism, (3, 4)),
+    ],
+    ids=["Z2xZ6", "Z3xZ3", "Z8-alpha3", "Z9-minusI"],
+)
+def test_random_phase_matches_exact_predicate(orders, make_alpha, caps):
+    """The random hits of a scan are exactly the symmetric draws of a
+    reference loop that re-draws the same seeded partitions and decides
+    each pair with the exact predicate."""
+    group = make_group(orders)
+    alpha = make_alpha(group)
+    config = SearchConfig(
+        support_size_cap=caps[0],
+        denominator_cap=caps[1],
+        random_trials=PARTITION_SIZE + 300,
+        seed=7,
+    )
+    expected = []
+    done = partition = 0
+    while done < config.random_trials:
+        rng = random.Random(config.seed + partition)
+        block = min(PARTITION_SIZE, config.random_trials - done)
+        for _ in range(block):
+            mu1 = random_distribution(group, rng, *caps)
+            mu2 = random_distribution(group, rng, *caps)
+            if _symmetric(group, alpha, mu1, mu2):
+                expected.append((mu1, mu2))
+        done += block
+        partition += 1
+    assert expected
+    result = grid_scan(group, alpha, config)
+    found = [(r.mu1, r.mu2) for r in result.hits if r.source == "random"]
+    assert found == expected
+
+
+def test_grid_phase_finds_every_symmetric_candidate_pair():
+    """Brute force over every candidate pair of a Z2 x Z4 scan: the grid
+    hits are exactly the pairs the exact predicate accepts, in emission
+    order."""
+    group = make_group([2, 4])
+    alpha = _non_diagonal_automorphism(group, 3)
+    config = SearchConfig(support_size_cap=2, denominator_cap=3, random_trials=0)
+    elements = group.elements
+    candidates = {}
+    for m in (1, 2):
+        for support in combinations(range(group.order), m):
+            candidates[support] = list(weight_vectors(m, config.denominator_cap))
+    for sub in all_subgroups(group):
+        if len(sub) <= 2:
+            continue
+        for x in elements:
+            coset = tuple(sorted(group.index(x + k) for k in sub))
+            vec = ((1,) * len(sub), len(sub))
+            if vec not in candidates.setdefault(coset, []):
+                candidates[coset].append(vec)
+    by_support = [
+        [
+            Distribution(
+                group, {elements[i]: Fraction(w, d) for i, w in zip(support, ws)}
+            )
+            for ws, d in candidates[support]
+        ]
+        for support in sorted(candidates)
+    ]
+    expected = [
+        (mu1, mu2)
+        for dists_a in by_support
+        for dists_b in by_support
+        for mu1 in dists_a
+        for mu2 in dists_b
+        if _symmetric(group, alpha, mu1, mu2)
+    ]
+    result = grid_scan(group, alpha, config)
+    assert result.summary["grid_candidates"] == sum(map(len, by_support))
+    assert [(r.mu1, r.mu2) for r in result.hits if r.source == "grid"] == expected
+    assert any(not r.pair_idempotent for r in result.hits)
+
+
+def test_random_hit_disagreement_raises(monkeypatch):
+    """A random hit the exact predicate rejects is a bug, not a hit."""
+    monkeypatch.setattr(search, "is_conditionally_symmetric", lambda inst: False)
+    group = make_group([9])
+    config = SearchConfig(
+        support_size_cap=1, denominator_cap=1, random_trials=200, seed=3
+    )
+    with pytest.raises(RuntimeError, match="disagrees"):
+        grid_scan(group, neg_identity_endomorphism(group), config)
 
 
 def test_scan_space_overflow_guard():
