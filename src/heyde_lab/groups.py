@@ -11,10 +11,10 @@ coordinate m of element i is (i // s_m) % n_m for fixed strides s_m, and
 loops over all elements or pairs read ``negation_table()`` and
 ``translation_row(i)``, computed from those digits.  An endomorphism walks
 the group once, into a table of element indices, and reads ``is_auto``, its
-kernel, image and inverse off that table.  Subgroups are closed coset by
-coset from their generators, and a subgroup given by its elements is
-validated by closing generators picked from inside it.  Annihilators are
-found by enumeration.
+kernel, image and inverse off that table.  A subgroup is held as its
+element set: a generated one is closed coset by coset from its generators,
+and one given by its elements is validated by closing generators picked
+from inside it.  Annihilators are found by enumeration.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Sequence
 
-DEFAULT_ENUMERATION_CAP = 10**6
+#: Largest group order a FiniteAbelianGroup may have.
+ENUMERATION_CAP = 10**6
 
 #: Numeric tolerance for character comparisons; the integer congruence is
 #: always consulted as the authoritative answer.
@@ -56,12 +57,7 @@ def _digit_sums(columns: Iterable[Sequence[int]]) -> list[int]:
 class FiniteAbelianGroup:
     """Z_{n_1} x ... x Z_{n_k} with a fixed lexicographic element order."""
 
-    def __init__(
-        self,
-        cyclic_orders: Sequence[int],
-        *,
-        enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-    ):
+    def __init__(self, cyclic_orders: Sequence[int]):
         orders = tuple(int(n) for n in cyclic_orders)
         if not orders:
             raise ValueError("at least one cyclic factor is required")
@@ -69,9 +65,9 @@ class FiniteAbelianGroup:
             if n < 2:
                 raise ValueError(f"cyclic orders must be >= 2, got {n}")
         order = math.prod(orders)
-        if order > enumeration_cap:
+        if order > ENUMERATION_CAP:
             raise ValueError(
-                f"group order {order} exceeds enumeration cap {enumeration_cap}"
+                f"group order {order} exceeds enumeration cap {ENUMERATION_CAP}"
             )
         self.cyclic_orders = orders
         self.order = order
@@ -218,12 +214,8 @@ class GroupElement:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-def make_group(
-    cyclic_orders: Sequence[int],
-    *,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> FiniteAbelianGroup:
-    return FiniteAbelianGroup(cyclic_orders, enumeration_cap=enumeration_cap)
+def make_group(cyclic_orders: Sequence[int]) -> FiniteAbelianGroup:
+    return FiniteAbelianGroup(cyclic_orders)
 
 
 def character(x: GroupElement, y: GroupElement) -> complex:
@@ -288,19 +280,14 @@ def _closure(
 
 
 class Subgroup:
-    """Subgroup given by its full (sorted) element set plus generators.
+    """Subgroup given by its full (sorted) element set.
 
     The element set is validated by closing it greedily: each element not
     yet produced becomes a generator, and the closure must stay inside the
     set.
     """
 
-    def __init__(
-        self,
-        parent: FiniteAbelianGroup,
-        elements: Iterable[GroupElement],
-        generators: Sequence[GroupElement] | None = None,
-    ):
+    def __init__(self, parent: FiniteAbelianGroup, elements: Iterable[GroupElement]):
         elems = sorted(set(elements), key=lambda e: e.coords)
         if not elems:
             raise ValueError("a subgroup contains at least the identity")
@@ -313,7 +300,6 @@ class Subgroup:
         _closure(parent.zero, elems, inside=elem_set)
         self.parent = parent
         self.elements = tuple(elems)
-        self.generators = tuple(generators) if generators is not None else self.elements
         self._set = elem_set
 
     def __contains__(self, x: GroupElement) -> bool:
@@ -351,11 +337,11 @@ def subgroup_generated(
     for g in gens:
         if g.group != group:
             raise ValueError("generator outside the group")
-    return Subgroup(group, _closure(group.zero, gens), generators=gens)
+    return Subgroup(group, _closure(group.zero, gens))
 
 
 def trivial_subgroup(group: FiniteAbelianGroup) -> Subgroup:
-    return Subgroup(group, [group.zero], generators=[])
+    return Subgroup(group, [group.zero])
 
 
 def annihilator(sub: Subgroup) -> Subgroup:

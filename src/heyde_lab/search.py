@@ -8,11 +8,12 @@ enumerates exact-rational distribution pairs up to configurable support and
 denominator caps (plus all shifted uniform-on-subgroup candidates and a
 batch of random pairs), decides symmetry exactly for each pair, and
 classifies every symmetric hit.  Both phases of the scan decide symmetry
-with one integer kernel over element indices: a support pair is feasible
-when its set of occupied joint-cell keys contains every mirror key, and a
-feasible pair is symmetric when the integer weights of each cell and its
-mirror agree.  Every random-phase hit is confirmed by the exact Fraction
-predicate before it is recorded.  A finite-level scan over the cyclic
+with one kernel over element indices: a support pair is feasible when its
+set of occupied joint-cell keys contains every mirror key, and a feasible
+pair is symmetric when the joint weights of each cell and its mirror agree,
+summed from integer weight vectors on the grid and from the drawn Fraction
+masses in the random phase.  Every random-phase hit is confirmed by the
+exact predicate before it is recorded.  A finite-level scan over the cyclic
 p-power groups tags its outcome by the leading base-p digit of the
 multiplier.
 
@@ -29,7 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .distributions import Distribution, is_degenerate, is_idempotent_shift
 from .groups import (
@@ -62,6 +63,9 @@ MAX_SCAN_ORDER = 1024
 
 #: Random-phase trials per seeded partition; partition i is seeded seed + i.
 PARTITION_SIZE = 1024
+
+#: Most symmetric hits a scan keeps; one more raises SearchSpaceError.
+MAX_HITS = 10**5
 
 
 class SearchSpaceError(ValueError):
@@ -176,6 +180,29 @@ def _report_for_hit(
     return SymmetryReport(group, alpha, mu1, mu2, True, c1, c2, kernel, tags, source)
 
 
+def _checked_instance(
+    group: FiniteAbelianGroup,
+    alpha: Endomorphism,
+    mu1: Distribution,
+    mu2: Distribution,
+    sub: Subgroup,
+    name: str,
+) -> FormsInstance:
+    """Canonical instance of a pair supported inside sub, confirmed symmetric
+    by the exact predicate; a support escaping sub raises ValueError and a
+    failed confirmation RuntimeError."""
+    for mu in (mu1, mu2):
+        for x in mu.support():
+            if x not in sub:
+                raise ValueError(f"support element {x} escapes the {name} {sub}")
+    inst = canonical_instance(group, alpha, mu1, mu2)
+    if not is_conditionally_symmetric(inst):
+        raise RuntimeError(
+            f"{name} construction failed its symmetry guarantee; this is a bug"
+        )
+    return inst
+
+
 def kernel_construction(
     group: FiniteAbelianGroup, alpha: Endomorphism, weights: Distribution
 ) -> FormsInstance:
@@ -188,15 +215,7 @@ def kernel_construction(
     kernel = (identity_endomorphism(group) + alpha).kernel()
     if kernel.is_trivial:
         raise ValueError("kernel of I + alpha is trivial; no construction exists")
-    for x in weights.support():
-        if x not in kernel:
-            raise ValueError(f"support element {x} escapes the kernel {kernel}")
-    inst = canonical_instance(group, alpha, weights, weights)
-    if not is_conditionally_symmetric(inst):
-        raise RuntimeError(
-            "kernel construction failed its symmetry guarantee; this is a bug"
-        )
-    return inst
+    return _checked_instance(group, alpha, weights, weights, kernel, "kernel")
 
 
 def order2_construction(
@@ -211,20 +230,11 @@ def order2_construction(
     torsion = order2_subgroup(group)
     if torsion.is_trivial:
         raise ValueError("the order-2 subgroup is trivial")
-    for mu in (mu1, mu2):
-        for x in mu.support():
-            if x not in torsion:
-                raise ValueError(f"support element {x} escapes the order-2 subgroup")
-    inst = canonical_instance(group, alpha, mu1, mu2)
-    if not is_conditionally_symmetric(inst):
-        raise RuntimeError(
-            "order-2 construction failed its symmetry guarantee; this is a bug"
-        )
-    return inst
+    return _checked_instance(group, alpha, mu1, mu2, torsion, "order-2 subgroup")
 
 
 def all_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
-    """Every subgroup, grown by repeatedly adjoining one generator."""
+    """Every subgroup, grown by repeatedly adjoining one element."""
     trivial = trivial_subgroup(group)
     seen: dict[frozenset, Subgroup] = {frozenset(trivial.elements): trivial}
     frontier = [trivial]
@@ -234,13 +244,24 @@ def all_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
             for x in group.elements:
                 if x in sub:
                     continue
-                grown = subgroup_generated(group, list(sub.generators) + [x])
+                grown = subgroup_generated(group, [*sub.elements, x])
                 key = frozenset(grown.elements)
                 if key not in seen:
                     seen[key] = grown
                     new.append(grown)
         frontier = new
     return sorted(seen.values(), key=lambda s: (len(s), tuple(e.coords for e in s)))
+
+
+def _distribution(
+    group: FiniteAbelianGroup, support: Sequence[int], weights: Sequence[int]
+) -> Distribution:
+    """Mass w / sum(weights) on the element of each index in support."""
+    total = sum(weights)
+    elements = group.elements
+    return Distribution(
+        group, {elements[i]: Fraction(w, total) for i, w in zip(support, weights)}
+    )
 
 
 def random_distribution(
@@ -252,33 +273,19 @@ def random_distribution(
     """Random exact-rational distribution: integer weights up to weight_cap
     on a random support, normalized."""
     size = rng.randint(1, min(support_cap, group.order))
-    support_idx = sorted(rng.sample(range(group.order), size))
-    weights = [rng.randint(1, weight_cap) for _ in support_idx]
-    total = sum(weights)
-    elements = group.elements
-    return Distribution(
-        group,
-        {elements[i]: Fraction(w, total) for i, w in zip(support_idx, weights)},
-    )
+    support = sorted(rng.sample(range(group.order), size))
+    return _distribution(group, support, [rng.randint(1, weight_cap) for _ in support])
 
 
-def _index_weights(mu: Distribution) -> tuple[list[int], list[int]]:
-    """Element indices of mu's support and integer weights proportional to
-    its masses: each numerator times lcm(denominators) // denominator."""
-    group = mu.group
-    common = math.lcm(*(p.denominator for p in mu.probs.values()))
-    support = [group.index(x) for x in mu.probs]
-    weights = [p.numerator * (common // p.denominator) for p in mu.probs.values()]
-    return support, weights
+#: Compatible matrices random_automorphism draws before giving up.
+AUTOMORPHISM_TRIES = 2000
 
 
-def random_automorphism(
-    group: FiniteAbelianGroup, rng: random.Random, max_tries: int = 2000
-) -> Endomorphism:
+def random_automorphism(group: FiniteAbelianGroup, rng: random.Random) -> Endomorphism:
     """Rejection-sample a compatible matrix until it is bijective."""
     orders = group.cyclic_orders
     k = group.rank
-    for _ in range(max_tries):
+    for _ in range(AUTOMORPHISM_TRIES):
         matrix = []
         for i in range(k):
             row = []
@@ -289,7 +296,7 @@ def random_automorphism(
         endo = Endomorphism(group, matrix)
         if endo.is_auto:
             return endo
-    raise RuntimeError(f"no automorphism found in {max_tries} tries")
+    raise RuntimeError(f"no automorphism found in {AUTOMORPHISM_TRIES} tries")
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -314,6 +321,20 @@ def weight_vectors(size: int, denominator_cap: int) -> list[tuple[tuple[int, ...
     return out
 
 
+def _hit_counts(hits: list[SymmetryReport]) -> dict:
+    """Hits in total and by pair kind: both degenerate, else both
+    idempotent (degenerate or idempotent-shift), else other."""
+    counts = {"symmetric": len(hits), "idempotent": 0, "degenerate": 0, "other": 0}
+    for r in hits:
+        if r.mu1_class["kind"] == r.mu2_class["kind"] == "degenerate":
+            counts["degenerate"] += 1
+        elif r.pair_idempotent:
+            counts["idempotent"] += 1
+        else:
+            counts["other"] += 1
+    return counts
+
+
 @dataclass
 class ScanResult:
     group: FiniteAbelianGroup
@@ -327,19 +348,11 @@ class ScanResult:
         return any("red-alert-nonidempotent" in r.tags for r in self.hits)
 
 
-def _grid_candidate_count(group: FiniteAbelianGroup, config: SearchConfig) -> int:
-    n = group.order
-    total = 0
-    for m in range(1, min(config.support_size_cap, n) + 1):
-        total += math.comb(n, m) * len(weight_vectors(m, config.denominator_cap))
-    return total
-
-
 def _idempotent_candidates(
     group: FiniteAbelianGroup, config: SearchConfig
-) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]]:
+) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """Uniform-on-coset candidates not already covered by the grid."""
-    extras: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    extras: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     covered_by_grid = min(config.support_size_cap, config.denominator_cap)
     for sub in all_subgroups(group):
         size = len(sub)
@@ -352,7 +365,7 @@ def _idempotent_candidates(
             if coset in seen:
                 continue
             seen.add(coset)
-            extras.setdefault(coset, []).append(((1,) * size, size))
+            extras.setdefault(coset, []).append((1,) * size)
     return extras
 
 
@@ -366,11 +379,12 @@ def grid_scan(
     support pair is feasible only if its occupied cells include the mirror
     (s, -t) of each, since an empty mirror makes every strictly positive
     weight assignment asymmetric; a feasible pair is symmetric when each
-    cell and its mirror carry equal integer weight.  The grid phase
-    enumerates weights only on feasible ordered support pairs.  The random
-    phase draws config.random_trials pairs in seeded partitions, reads
-    each as an index support with integer weights, and confirms every hit
-    with the exact predicate, raising RuntimeError on a disagreement.
+    cell and its mirror carry equal joint weight.  The grid phase
+    enumerates integer weight vectors only on feasible ordered support
+    pairs.  The random phase draws config.random_trials pairs in seeded
+    partitions, reads each as an index support with its Fraction masses,
+    and confirms every hit with the exact predicate, raising RuntimeError on
+    a disagreement.  More than MAX_HITS hits raise SearchSpaceError.
     Deterministic given (seed, caps).
     """
     if alpha.group != group:
@@ -379,18 +393,18 @@ def grid_scan(
     if n > MAX_SCAN_ORDER:
         raise SearchSpaceError(f"group order {n} exceeds scan bound {MAX_SCAN_ORDER}")
 
-    grid_count = _grid_candidate_count(group, config)
+    weights_by_size = {
+        m: [w for w, _ in weight_vectors(m, config.denominator_cap)]
+        for m in range(1, min(config.support_size_cap, n) + 1)
+    }
+    grid_count = sum(math.comb(n, m) * len(v) for m, v in weights_by_size.items())
     if grid_count * grid_count + config.random_trials > MAX_CANDIDATES:
         raise SearchSpaceError(
             f"search space of {grid_count}^2 grid pairs + "
             f"{config.random_trials} trials exceeds {MAX_CANDIDATES} candidates"
         )
 
-    weights_by_size = {
-        m: weight_vectors(m, config.denominator_cap)
-        for m in range(1, min(config.support_size_cap, n) + 1)
-    }
-    candidates: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    candidates: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for m, vecs in weights_by_size.items():
         for support in combinations(range(n), m):
             candidates[support] = list(vecs)
@@ -436,6 +450,8 @@ def grid_scan(
         return comparisons
 
     def balanced(comparisons, wa, wb):
+        """Whether each cell and its mirror carry equal joint weight, with
+        wa and wb the weights (ints or Fractions) at the support positions."""
         for cell, mirror in comparisons:
             lhs = sum(wa[i] * wb[j] for i, j in cell)
             rhs = sum(wa[i] * wb[j] for i, j in mirror)
@@ -443,29 +459,14 @@ def grid_scan(
                 return False
         return True
 
-    elements = group.elements
-
-    def make_distribution_from(support, weight_vec, denom):
-        return Distribution(
-            group,
-            {elements[i]: Fraction(w, denom) for i, w in zip(support, weight_vec)},
-        )
-
     hits: list[SymmetryReport] = []
-    counts = {"symmetric": 0, "idempotent": 0, "degenerate": 0, "other": 0}
 
     def record_hit(mu1, mu2, source):
-        report = _report_for_hit(group, alpha, mu1, mu2, kernel, source)
-        hits.append(report)
-        counts["symmetric"] += 1
-        k1 = report.mu1_class["kind"]
-        k2 = report.mu2_class["kind"]
-        if k1 == "degenerate" and k2 == "degenerate":
-            counts["degenerate"] += 1
-        elif report.pair_idempotent:
-            counts["idempotent"] += 1
-        else:
-            counts["other"] += 1
+        if len(hits) >= MAX_HITS:
+            raise SearchSpaceError(
+                f"scan finds more than {MAX_HITS} symmetric hits; lower the caps"
+            )
+        hits.append(_report_for_hit(group, alpha, mu1, mu2, kernel, source))
 
     support_list = sorted(candidates)
     for sup_a in support_list:
@@ -480,12 +481,12 @@ def grid_scan(
             comparisons = cell_comparisons(sup_a, sup_b)
             if comparisons is None:
                 continue
-            for wa, da in vecs_a:
-                for wb, db in candidates[sup_b]:
+            for wa in vecs_a:
+                for wb in candidates[sup_b]:
                     if balanced(comparisons, wa, wb):
                         record_hit(
-                            make_distribution_from(sup_a, wa, da),
-                            make_distribution_from(sup_b, wb, db),
+                            _distribution(group, sup_a, wa),
+                            _distribution(group, sup_b, wb),
                             "grid",
                         )
 
@@ -501,10 +502,13 @@ def grid_scan(
             mu2 = random_distribution(
                 group, rng, config.support_size_cap, config.denominator_cap
             )
-            sup1, w1 = _index_weights(mu1)
-            sup2, w2 = _index_weights(mu2)
-            comparisons = cell_comparisons(sup1, sup2)
-            if comparisons is None or not balanced(comparisons, w1, w2):
+            comparisons = cell_comparisons(
+                [group.index(x) for x in mu1.probs],
+                [group.index(x) for x in mu2.probs],
+            )
+            if comparisons is None or not balanced(
+                comparisons, list(mu1.probs.values()), list(mu2.probs.values())
+            ):
                 continue
             if not is_conditionally_symmetric(
                 canonical_instance(group, alpha, mu1, mu2)
@@ -525,7 +529,7 @@ def grid_scan(
         "i_plus_alpha_automorphism": kernel.is_trivial,
         "grid_candidates": total_candidates,
         "evaluated_pairs": total_candidates**2 + config.random_trials,
-        "counts": counts,
+        "counts": _hit_counts(hits),
         "red_alert": any("red-alert-nonidempotent" in r.tags for r in hits),
     }
     return ScanResult(group, alpha, config, hits, summary)
@@ -591,10 +595,15 @@ def padic_scan(p: int, k: int, c: int, config: SearchConfig) -> PadicScanReport:
     lift to the torsion-free projective limit, so those scans are tagged
     exploratory and assert nothing.
     """
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     if k < 1:
         raise ValueError("k must be >= 1")
+    # p >= 2 and k >= bit_length(bound) give p^k >= 2^k > bound: no huge p**k
+    if p >= 2 and (k >= MAX_SCAN_ORDER.bit_length() or p**k > MAX_SCAN_ORDER):
+        raise SearchSpaceError(
+            f"group order {p}^{k} exceeds scan bound {MAX_SCAN_ORDER}"
+        )
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if c % p == 0:
         raise ValueError("c must be a unit: gcd(c, p) = 1")
     c0 = c % p
@@ -622,20 +631,14 @@ def padic_scan(p: int, k: int, c: int, config: SearchConfig) -> PadicScanReport:
             "idempotent shifts"
         )
     else:
-        nonzero = [x for x in kernel if not x.is_zero]
-        mu = Distribution(
-            group, {nonzero[0]: Fraction(1, 2), nonzero[1]: Fraction(1, 2)}
-        )
+        nonzero = [group.index(x) for x in kernel if not x.is_zero]
+        mu = _distribution(group, nonzero[:2], [1, 1])
         inst = kernel_construction(group, alpha, mu)
-        already = any(
-            r.mu1 == inst.mu1 and r.mu2 == inst.mu2 for r in scan.hits
-        )
-        if not already:
+        if not any(r.mu1 == inst.mu1 and r.mu2 == inst.mu2 for r in scan.hits):
             scan.hits.append(
                 _report_for_hit(group, alpha, inst.mu1, inst.mu2, kernel, "construction")
             )
-            scan.summary["counts"]["symmetric"] += 1
-            scan.summary["counts"]["other"] += 1
+            scan.summary["counts"] = _hit_counts(scan.hits)
         non_idempotent = [r for r in scan.hits if not r.pair_idempotent]
         consistent = bool(non_idempotent)
         tag = PADIC_TAG_KERNEL

@@ -71,6 +71,10 @@ DEFAULT_GROUP_ORDERS: tuple[tuple[int, ...], ...] = (
     (15,),
 )
 
+#: Support and weight caps of the distributions drawn for the instance pools.
+POOL_SUPPORT_CAP = 4
+POOL_WEIGHT_CAP = 9
+
 
 @dataclass
 class SuiteResult:
@@ -91,32 +95,25 @@ class SuiteResult:
 
 
 def random_canonical_instance(
-    group: FiniteAbelianGroup,
-    rng: random.Random,
-    *,
-    support_cap: int = 4,
-    weight_cap: int = 9,
+    group: FiniteAbelianGroup, rng: random.Random
 ) -> FormsInstance:
     alpha = random_automorphism(group, rng)
-    mu1 = random_distribution(group, rng, support_cap, weight_cap)
-    mu2 = random_distribution(group, rng, support_cap, weight_cap)
+    mu1 = random_distribution(group, rng, POOL_SUPPORT_CAP, POOL_WEIGHT_CAP)
+    mu2 = random_distribution(group, rng, POOL_SUPPORT_CAP, POOL_WEIGHT_CAP)
     return canonical_instance(group, alpha, mu1, mu2)
 
 
-def engineered_symmetric_instances(
-    seed: int = 0,
-    group_orders: tuple[tuple[int, ...], ...] = DEFAULT_GROUP_ORDERS,
-) -> list[FormsInstance]:
+def engineered_symmetric_instances(seed: int = 0) -> list[FormsInstance]:
     """Deterministic pool of instances that are symmetric by construction:
     iid pairs with the reflected form, iid pairs supported in a nontrivial
     Ker(I + alpha), matched degenerate pairs, and uniform pairs."""
     rng = random.Random(seed)
     pool: list[FormsInstance] = []
-    for orders in group_orders:
+    for orders in DEFAULT_GROUP_ORDERS:
         group = make_group(orders)
         neg = neg_identity_endomorphism(group)
         for _ in range(3):
-            mu = random_distribution(group, rng, 4, 9)
+            mu = random_distribution(group, rng, POOL_SUPPORT_CAP, POOL_WEIGHT_CAP)
             pool.append(canonical_instance(group, neg, mu, mu))
         # matched degenerate pair x1 = -alpha(x2) for a random automorphism
         alpha = random_automorphism(group, rng)
@@ -151,20 +148,16 @@ def engineered_symmetric_instances(
     return pool
 
 
-def instance_pool(
-    seed: int,
-    random_count: int = 1000,
-    group_orders: tuple[tuple[int, ...], ...] = DEFAULT_GROUP_ORDERS,
-) -> list[FormsInstance]:
+def instance_pool(seed: int, random_count: int = 1000) -> list[FormsInstance]:
     """random_count random canonical instances round-robined over the
     groups, plus the engineered symmetric pool."""
     rng = random.Random(seed)
-    groups = [make_group(o) for o in group_orders]
+    groups = [make_group(o) for o in DEFAULT_GROUP_ORDERS]
     pool = [
         random_canonical_instance(groups[i % len(groups)], rng)
         for i in range(random_count)
     ]
-    pool.extend(engineered_symmetric_instances(seed ^ 0xA5A5, group_orders))
+    pool.extend(engineered_symmetric_instances(seed ^ 0xA5A5))
     return pool
 
 

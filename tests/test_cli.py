@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from heyde_lab import search
 from heyde_lab.cli import run
 from heyde_lab.distributions import make_distribution, uniform
 from heyde_lab.groups import make_group, scaling_endomorphism
@@ -271,6 +273,35 @@ def test_search_overflow_is_usage_error(tmp_path):
     assert code == 2
 
 
+def test_search_output_pinned(tmp_path, monkeypatch):
+    """stdout of a small search, hashed at a fixed timestamp; the inputs
+    are named relative to the working directory, as the manifest embeds
+    them."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "g.json", {"cyclic_orders": [9]})
+    write(tmp_path, "a.json", {"matrix": [[8]]})
+    code, output = run_cli(
+        ["search", "g.json", "a.json", "--support-cap", "2",
+         "--denominator-cap", "4", "--trials", "300", "--seed", "5"]
+    )
+    assert code == 0
+    assert hashlib.sha256(output.encode()).hexdigest() == (
+        "28d2dab66a25b956caca850e634190cec2772ea93ebffae8e53c7ffc7db8e41f"
+    )
+
+
+def test_search_hit_bound_is_usage_error(tmp_path, monkeypatch, capsys):
+    """Every pair on Z2xZ2xZ2 is symmetric; the hit list stops at the bound."""
+    monkeypatch.setattr(search, "MAX_HITS", 50)
+    group = write(tmp_path, "g.json", {"cyclic_orders": [2, 2, 2]})
+    alpha = write(
+        tmp_path, "a.json", {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    )
+    code, output = run_cli(["search", group, alpha, "--trials", "0"])
+    assert code == 2 and output == ""
+    assert "more than 50 symmetric hits" in capsys.readouterr().err
+
+
 def test_search_out_file(tmp_path):
     group = write(tmp_path, "g.json", {"cyclic_orders": [5]})
     alpha = write(tmp_path, "a.json", {"matrix": [[2]]})
@@ -315,6 +346,32 @@ def test_padic_cli_exploratory(tmp_path):
 def test_padic_cli_rejects_bad_input():
     code, output = run_cli(["padic", "--p", "3", "--k", "2", "--c", "6"])
     assert code == 2 and output == ""
+
+
+def test_padic_output_pinned():
+    code, output = run_cli(["padic", "--p", "3", "--k", "2", "--c", "2"])
+    assert code == 0
+    assert hashlib.sha256(output.encode()).hexdigest() == (
+        "229f1f956fa3080dd216080cfa2272b272f85490fe23b67480985f638217b6e4"
+    )
+
+
+def test_padic_refuses_large_prime_before_primality(monkeypatch, capsys):
+    def no_primality_test(p):
+        raise AssertionError("primality tested before the size check")
+
+    monkeypatch.setattr(search, "_is_prime", no_primality_test)
+    code, output = run_cli(
+        ["padic", "--p", "100000000000031", "--k", "1", "--c", "2"]
+    )
+    assert code == 2 and output == ""
+    assert f"scan bound {search.MAX_SCAN_ORDER}" in capsys.readouterr().err
+
+
+def test_padic_refuses_huge_level_up_front(capsys):
+    code, output = run_cli(["padic", "--p", "3", "--k", "10000000", "--c", "2"])
+    assert code == 2 and output == ""
+    assert f"scan bound {search.MAX_SCAN_ORDER}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

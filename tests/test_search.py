@@ -350,9 +350,32 @@ def test_random_hit_disagreement_raises(monkeypatch):
         grid_scan(group, neg_identity_endomorphism(group), config)
 
 
+def test_hit_bound_admits_exactly_max_hits(monkeypatch):
+    group = make_group([2, 2])
+    alpha = identity_endomorphism(group)
+    config = SearchConfig(
+        support_size_cap=1, denominator_cap=1, random_trials=0, seed=0
+    )
+    count = len(grid_scan(group, alpha, config).hits)
+    monkeypatch.setattr(search, "MAX_HITS", count)
+    assert len(grid_scan(group, alpha, config).hits) == count
+    monkeypatch.setattr(search, "MAX_HITS", count - 1)
+    with pytest.raises(SearchSpaceError, match=f"more than {count - 1} "):
+        grid_scan(group, alpha, config)
+
+
 def test_scan_space_overflow_guard():
     g27 = make_group([27])
     with pytest.raises(SearchSpaceError):
+        grid_scan(g27, scaling_endomorphism(g27, 4), SearchConfig())
+
+
+def test_scan_space_guard_counts_grid_before_enumerating():
+    """Caps 3/6 on Z27: 27*1 + C(27,2)*11 + C(27,3)*19 grid candidates,
+    with the weight-vector counts of test_weight_vector_counts."""
+    g27 = make_group([27])
+    count = 27 * 1 + 351 * 11 + 2925 * 19
+    with pytest.raises(SearchSpaceError, match=rf"^search space of {count}\^2 grid"):
         grid_scan(g27, scaling_endomorphism(g27, 4), SearchConfig())
 
 
@@ -395,6 +418,27 @@ def test_padic_kernel_case():
     assert report.consistent is True
     assert [x.coords[0] for x in report.kernel] == [0, 9, 18]
     assert any(not r.pair_idempotent for r in report.scan.hits)
+
+
+def test_padic_counts_include_injected_construction():
+    """Caps 1/1 cannot hold a two-point pair, so the construction is
+    injected and the counts must recount it."""
+    config = SearchConfig(
+        support_size_cap=1, denominator_cap=1, random_trials=0, seed=0
+    )
+    report = padic_scan(3, 2, 2, config)
+    hits = report.scan.hits
+    assert hits[-1].source == "construction"
+    kinds = [(r.mu1_class["kind"], r.mu2_class["kind"]) for r in hits]
+    degenerate = kinds.count(("degenerate", "degenerate"))
+    idempotent = sum(r.pair_idempotent for r in hits) - degenerate
+    assert report.scan.summary["counts"] == {
+        "symmetric": len(hits),
+        "idempotent": idempotent,
+        "degenerate": degenerate,
+        "other": len(hits) - idempotent - degenerate,
+    }
+    assert report.scan.summary["counts"]["other"] == 1
 
 
 def test_padic_exploratory_p2():
