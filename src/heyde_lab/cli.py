@@ -23,12 +23,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import Sequence, TextIO
 
 from . import __version__
 from .distributions import CHAR_TOL
-from .groups import identity_endomorphism
 from .predicates import (
     are_forms_independent,
     canonicalize,
@@ -36,6 +36,7 @@ from .predicates import (
     derived_forms_instance,
     heyde_equation_check,
     independence_equation_check,
+    obstruction_kernel,
 )
 from .search import (
     SearchConfig,
@@ -118,9 +119,7 @@ def cmd_check(args: argparse.Namespace, out: TextIO) -> int:
         kernel = result.kernel
     else:
         canonical = instance
-        kernel = (
-            identity_endomorphism(canonical.group) + canonical.beta2
-        ).kernel()
+        kernel = obstruction_kernel(canonical.beta2)
 
     witness = conditional_symmetry_witness(canonical)
     symmetric = witness is None
@@ -165,7 +164,7 @@ def cmd_check(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     config = _search_config(args)
     manifest = build_manifest(
-        "search", [args.group, args.alpha], config.to_json()
+        "search", [args.group, args.alpha], asdict(config)
     )
     group = group_from_json(_load_json(args.group))
     alpha = endomorphism_from_json(group, _load_json(args.alpha))
@@ -185,7 +184,7 @@ def cmd_padic(args: argparse.Namespace, out: TextIO) -> int:
     manifest = build_manifest(
         "padic",
         [],
-        {"p": args.p, "k": args.k, "c": args.c, **config.to_json()},
+        {"p": args.p, "k": args.k, "c": args.c, **asdict(config)},
     )
     report = padic_scan(args.p, args.k, args.c, config)
     payload = {"manifest": manifest, **report.to_json()}
@@ -215,7 +214,7 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             _emit(
-                {"manifest": manifest, "suites": [r.to_json() for r in results]},
+                {"manifest": manifest, "suites": [asdict(r) for r in results]},
                 fh,
             )
     return EXIT_TRUE if all(r.passed for r in results) else EXIT_FALSE

@@ -1,10 +1,12 @@
 """Exact rational probability distributions on a finite abelian group.
 
 Probabilities are ``fractions.Fraction`` values, so convolution, reflection,
-push-forwards and all equality predicates are exact.  Characteristic
-functions (group Fourier transforms) are complex doubles and carry a
-tolerance; whenever a question can be decided in probability space it is
-decided there.
+push-forwards and all equality predicates are exact.  Every law that sums
+masses by image (convolution, push-forward, empirical law, and the joint
+law and marginals in ``predicates``) is built by one accumulator,
+:func:`accumulate`.  Characteristic functions (group Fourier transforms)
+are complex doubles and carry a tolerance; whenever a question can be
+decided in probability space it is decided there.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from .groups import (
     Endomorphism,
@@ -74,13 +76,6 @@ class Distribution:
     def support(self) -> tuple[GroupElement, ...]:
         return tuple(sorted(self.probs, key=lambda e: e.coords))
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Distribution)
-            and self.group == other.group
-            and self.probs == other.probs
-        )
-
     def __repr__(self) -> str:
         items = ", ".join(f"{x!r}: {p}" for x, p in sorted(
             self.probs.items(), key=lambda kv: kv[0].coords))
@@ -115,6 +110,15 @@ class CharFunction:
         return self.values[y]
 
 
+def accumulate(masses: Iterable[tuple[Hashable, Fraction | int]]) -> dict:
+    """Sum the masses by key, keys in first-seen order: the law of a map
+    applied to an exact law, given (image, mass) pairs."""
+    out: dict = {}
+    for key, p in masses:
+        out[key] = out.get(key, 0) + p
+    return out
+
+
 def make_distribution(
     group: FiniteAbelianGroup, probs: Mapping[GroupElement, Fraction | int]
 ) -> Distribution:
@@ -141,12 +145,9 @@ def haar_on(sub: Subgroup) -> Distribution:
 def convolve(mu: Distribution, nu: Distribution) -> Distribution:
     if mu.group != nu.group:
         raise ValueError("cannot convolve distributions on different groups")
-    out: dict[GroupElement, Fraction] = {}
-    for x, p in mu.probs.items():
-        for y, q in nu.probs.items():
-            z = x + y
-            out[z] = out.get(z, Fraction(0)) + p * q
-    return Distribution(mu.group, out)
+    return Distribution(mu.group, accumulate(
+        (x + y, p * q) for x, p in mu.probs.items() for y, q in nu.probs.items()
+    ))
 
 
 def reflect(mu: Distribution) -> Distribution:
@@ -163,11 +164,7 @@ def shift(mu: Distribution, x: GroupElement) -> Distribution:
 def push_forward(mu: Distribution, alpha: Endomorphism) -> Distribution:
     if alpha.group != mu.group:
         raise ValueError("endomorphism acts on a different group")
-    out: dict[GroupElement, Fraction] = {}
-    for x, p in mu.probs.items():
-        y = alpha(x)
-        out[y] = out.get(y, Fraction(0)) + p
-    return Distribution(mu.group, out)
+    return Distribution(mu.group, accumulate((alpha(x), p) for x, p in mu.probs.items()))
 
 
 def symmetrize(mu: Distribution) -> Distribution:
@@ -335,11 +332,8 @@ def total_variation(mu: Distribution, nu: Distribution) -> Fraction:
 def empirical_distribution(
     group: FiniteAbelianGroup, draws: Iterable[GroupElement]
 ) -> Distribution:
-    counts: dict[GroupElement, int] = {}
-    n = 0
-    for x in draws:
-        counts[x] = counts.get(x, 0) + 1
-        n += 1
+    counts = accumulate((x, 1) for x in draws)
+    n = sum(counts.values())
     if n == 0:
         raise ValueError("no draws")
     return Distribution(group, {x: Fraction(c, n) for x, c in counts.items()})

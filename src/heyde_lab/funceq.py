@@ -43,7 +43,9 @@ CHAIN_TOL = 1e-8
 #: larger groups fall back to randomized triples.
 FULL_ENUMERATION_LIMIT = 10**5
 
+#: Seeded random trials, and their seed, of the residual scans above it.
 RANDOM_TRIPLES = 10**4
+RANDOM_SEED = 0
 
 
 class CharDomainError(ValueError):
@@ -292,16 +294,15 @@ def _max_residual(
     group: FiniteAbelianGroup,
     chains: Sequence[tuple[list[float], tuple]],
     draws: int,
-    seed: int,
-    random_triples: int,
 ) -> tuple[float, tuple[GroupElement, ...]]:
     """Largest |D_{l3} D_{l2} D_{l1} f| over the chains (f's values, ladder).
 
     A residual depends on the increments only through the ladder values, so
     the exhaustive scan runs over the distinct values of each rung, in
     element order, and reports the worst ladder values.  Above
-    FULL_ENUMERATION_LIMIT, each of ``random_triples`` seeded trials draws
-    ``draws`` increments, and the worst trial's first three are reported.
+    FULL_ENUMERATION_LIMIT, each of RANDOM_TRIPLES trials, seeded with
+    RANDOM_SEED, draws ``draws`` increments, and the worst trial's first
+    three are reported.
     """
     n = group.order
     worst = (0.0, (0, 0, 0))
@@ -318,8 +319,8 @@ def _max_residual(
                         if r > worst[0]:
                             worst = (r, (l1, l2, l3))
     else:
-        rng = random.Random(seed)
-        for _ in range(random_triples):
+        rng = random.Random(RANDOM_SEED)
+        for _ in range(RANDOM_TRIPLES):
             drawn = [rng.choice(range(n)) for _ in range(draws)]
             residuals = []
             for values, ladder in chains:
@@ -337,29 +338,23 @@ def max_chain_residual(
     phi1: GroupFunction,
     phi2: GroupFunction,
     alpha_adj: Endomorphism,
-    *,
-    seed: int = 0,
-    random_triples: int = RANDOM_TRIPLES,
 ) -> tuple[float, tuple[GroupElement, ...]]:
     """Largest symmetry-chain residual over increment triples.
 
     Exhaustive over the distinct ladder values of
     :func:`heyde_difference_chain` whenever |Y|^3 is below
     FULL_ENUMERATION_LIMIT, otherwise over RANDOM_TRIPLES random triples
-    (k1, k2, k3) drawn with the given seed.
+    (k1, k2, k3) drawn with RANDOM_SEED.
     """
     ladder1, ladder2 = _heyde_ladder(alpha_adj)
     chains = [(_values(phi1), ladder1), (_values(phi2), ladder2)]
-    return _max_residual(phi1.group, chains, 3, seed, random_triples)
+    return _max_residual(phi1.group, chains, 3)
 
 
 def max_m_forms_residual(
     psi1: GroupFunction,
     psi2: GroupFunction,
     alpha_adj: Endomorphism,
-    *,
-    seed: int = 0,
-    random_triples: int = RANDOM_TRIPLES,
 ) -> tuple[float, tuple[GroupElement, ...]]:
     """Largest independence-chain residual over increments, as in
     :func:`max_chain_residual`; random trials draw (h1, h2, h, k) of
@@ -367,7 +362,7 @@ def max_m_forms_residual(
     p, q = quadratic_candidate(psi1, psi2, alpha_adj)
     ladder_p, ladder_q = _m_forms_ladder(alpha_adj)
     chains = [(_values(p), ladder_p), (_values(q), ladder_q)]
-    return _max_residual(psi1.group, chains, 4, seed, random_triples)
+    return _max_residual(psi1.group, chains, 4)
 
 
 def max_third_difference(f: GroupFunction) -> float:

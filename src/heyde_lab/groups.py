@@ -6,21 +6,25 @@ through the fixed pairing (x, y) = exp(2*pi*i * sum_j x_j*y_j / n_j), so a
 matrices acting on residue vectors; a congruence condition on the entries
 guarantees the action is well defined.
 
-Everything here is desk scale.  Only this module knows element indices:
+Everything here is desk scale.  The group defines element indices:
 coordinate m of element i is (i // s_m) % n_m for fixed strides s_m, and
-loops over all elements or pairs read ``negation_table()`` and
-``translation_row(i)``, computed from those digits.  An endomorphism walks
-the group once, into a table of element indices, and reads ``is_auto``, its
-kernel, image and inverse off that table.  A subgroup is held as its
-element set: a generated one is closed coset by coset from its generators,
-and one given by its elements is validated by closing generators picked
-from inside it.  Annihilators are found by enumeration.
+loops over all elements or pairs, here and in the modules above, read
+``negation_table()`` and ``translation_row(i)``, computed from those
+digits.  Every element operation and endomorphism image is reduced modulo
+the cyclic orders by one reducer, ``FiniteAbelianGroup._reduce``.  An
+endomorphism walks the group once, into a table of element indices, and
+reads ``is_auto``, its kernel, image and inverse off that table.  A
+subgroup is held as its element set: a generated one is closed coset by
+coset from its generators, and one given by its elements is validated by
+closing generators picked from inside it.  Annihilators are found by
+enumeration.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Sequence
@@ -98,8 +102,11 @@ class FiniteAbelianGroup:
             raise ValueError(
                 f"expected {self.rank} coordinates, got {len(coords)}"
             )
-        reduced = tuple(c % n for c, n in zip(coords, self.cyclic_orders))
-        return GroupElement(self, reduced)
+        return self._reduce(coords)
+
+    def _reduce(self, coords: Iterable[int]) -> GroupElement:
+        """The element whose coordinates are coords modulo the orders."""
+        return GroupElement(self, tuple(map(operator.mod, coords, self.cyclic_orders)))
 
     @property
     def zero(self) -> GroupElement:
@@ -169,38 +176,20 @@ class GroupElement:
 
     def __add__(self, other: GroupElement) -> GroupElement:
         self._check(other)
-        return GroupElement(
-            self.group,
-            tuple(
-                (a + b) % n
-                for a, b, n in zip(self.coords, other.coords, self.group.cyclic_orders)
-            ),
-        )
+        return self.group._reduce(map(operator.add, self.coords, other.coords))
 
     def __sub__(self, other: GroupElement) -> GroupElement:
         self._check(other)
-        return GroupElement(
-            self.group,
-            tuple(
-                (a - b) % n
-                for a, b, n in zip(self.coords, other.coords, self.group.cyclic_orders)
-            ),
-        )
+        return self.group._reduce(map(operator.sub, self.coords, other.coords))
 
     def __neg__(self) -> GroupElement:
-        return GroupElement(
-            self.group,
-            tuple((-a) % n for a, n in zip(self.coords, self.group.cyclic_orders)),
-        )
+        return self.group._reduce(map(operator.neg, self.coords))
 
     def __rmul__(self, n: int) -> GroupElement:
         """Integer scaling x -> n*x."""
         if not isinstance(n, int):
             return NotImplemented
-        return GroupElement(
-            self.group,
-            tuple((n * a) % m for a, m in zip(self.coords, self.group.cyclic_orders)),
-        )
+        return self.group._reduce([n * a for a in self.coords])
 
     def __lt__(self, other: GroupElement) -> bool:
         self._check(other)
@@ -410,12 +399,9 @@ class Endomorphism:
     def __call__(self, x: GroupElement) -> GroupElement:
         if x.group != self.group:
             raise ValueError("element outside the endomorphism's group")
-        orders = self.group.cyclic_orders
-        coords = tuple(
-            sum(a * c for a, c in zip(row, x.coords)) % n
-            for row, n in zip(self.matrix, orders)
+        return self.group._reduce(
+            [sum(map(operator.mul, row, x.coords)) for row in self.matrix]
         )
-        return GroupElement(self.group, coords)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -434,23 +420,17 @@ class Endomorphism:
         if self.group != other.group:
             raise ValueError("endomorphisms act on different groups")
 
-    def compose(self, other: Endomorphism) -> Endomorphism:
+    def __matmul__(self, other: Endomorphism) -> Endomorphism:
         """self after other (matrix product)."""
         self._check(other)
-        k = self.group.rank
+        columns = list(zip(*other.matrix))
         prod = [
-            [
-                sum(self.matrix[i][m] * other.matrix[m][j] for m in range(k))
-                for j in range(k)
-            ]
-            for i in range(k)
+            [sum(map(operator.mul, row, col)) for col in columns]
+            for row in self.matrix
         ]
         return Endomorphism(self.group, prod)
 
-    def __matmul__(self, other: Endomorphism) -> Endomorphism:
-        return self.compose(other)
-
-    def add(self, other: Endomorphism) -> Endomorphism:
+    def __add__(self, other: Endomorphism) -> Endomorphism:
         self._check(other)
         summed = [
             [a + b for a, b in zip(ra, rb)]
@@ -458,14 +438,11 @@ class Endomorphism:
         ]
         return Endomorphism(self.group, summed)
 
-    def __add__(self, other: Endomorphism) -> Endomorphism:
-        return self.add(other)
-
     def __neg__(self) -> Endomorphism:
         return Endomorphism(self.group, [[-a for a in row] for row in self.matrix])
 
     def __sub__(self, other: Endomorphism) -> Endomorphism:
-        return self.add(-other)
+        return self + -other
 
     def __rmul__(self, n: int) -> Endomorphism:
         if not isinstance(n, int):
@@ -517,8 +494,7 @@ def make_endomorphism(
 
 
 def identity_endomorphism(group: FiniteAbelianGroup) -> Endomorphism:
-    k = group.rank
-    return Endomorphism(group, [[1 if i == j else 0 for j in range(k)] for i in range(k)])
+    return scaling_endomorphism(group, 1)
 
 
 def scaling_endomorphism(group: FiniteAbelianGroup, n: int) -> Endomorphism:

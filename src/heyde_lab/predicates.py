@@ -10,6 +10,7 @@ decided exactly in probability space; the matching characteristic-function
 equations are evaluated at a tolerance and serve as corroborating
 predicates.  Any disagreement between an exact predicate and its
 characteristic-function counterpart is a hard error upstream.
+:func:`obstruction_kernel` builds Ker(I + alpha) for every caller.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distributions import CHAR_TOL, Distribution, char_values_list, push_forward
+from .distributions import (
+    CHAR_TOL,
+    Distribution,
+    accumulate,
+    char_values_list,
+    push_forward,
+)
 from .groups import (
     Endomorphism,
     FiniteAbelianGroup,
@@ -86,16 +93,12 @@ class JointDistribution:
         return self.probs.get((s, t), Fraction(0))
 
     def marginal_first(self) -> Distribution:
-        out: dict[GroupElement, Fraction] = {}
-        for (s, _t), p in self.probs.items():
-            out[s] = out.get(s, Fraction(0)) + p
-        return Distribution(self.group, out)
+        pairs = self.probs.items()
+        return Distribution(self.group, accumulate((s, p) for (s, _t), p in pairs))
 
     def marginal_second(self) -> Distribution:
-        out: dict[GroupElement, Fraction] = {}
-        for (_s, t), p in self.probs.items():
-            out[t] = out.get(t, Fraction(0)) + p
-        return Distribution(self.group, out)
+        pairs = self.probs.items()
+        return Distribution(self.group, accumulate((t, p) for (_s, t), p in pairs))
 
     def factorizes(self) -> bool:
         """Exact test that the joint is the product of its marginals."""
@@ -110,16 +113,14 @@ class JointDistribution:
 
 
 def joint_of_forms(inst: FormsInstance) -> JointDistribution:
-    """Enumerate the joint law of (L1, L2) over the support product."""
-    probs: dict[tuple[GroupElement, GroupElement], Fraction] = {}
+    """Enumerate the joint law of (L1, L2) over the support product; each
+    coefficient is applied once per support point."""
     a1, a2, b1, b2 = inst.alpha1, inst.alpha2, inst.beta1, inst.beta2
-    for x1, p in inst.mu1.probs.items():
-        u1 = a1(x1)
-        v1 = b1(x1)
-        for x2, q in inst.mu2.probs.items():
-            key = (u1 + a2(x2), v1 + b2(x2))
-            probs[key] = probs.get(key, Fraction(0)) + p * q
-    return JointDistribution(inst.group, probs)
+    first = [(a1(x), b1(x), p) for x, p in inst.mu1.probs.items()]
+    second = [(a2(x), b2(x), q) for x, q in inst.mu2.probs.items()]
+    return JointDistribution(inst.group, accumulate(
+        ((u1 + u2, v1 + v2), p * q) for u1, v1, p in first for u2, v2, q in second
+    ))
 
 
 def conditional_symmetry_witness(
@@ -246,6 +247,12 @@ def symmetry_forces_equal(inst: FormsInstance) -> bool:
     return inst.mu1 == inst.mu2
 
 
+def obstruction_kernel(alpha: Endomorphism) -> Subgroup:
+    """Ker(I + alpha), the obstruction subgroup: alpha acts on it as
+    negation."""
+    return (identity_endomorphism(alpha.group) + alpha).kernel()
+
+
 @dataclass
 class CanonicalizationResult:
     instance: FormsInstance
@@ -273,5 +280,4 @@ def canonicalize(inst: FormsInstance) -> CanonicalizationResult:
     new1 = push_forward(inst.mu1, inst.alpha1)
     new2 = push_forward(inst.mu2, inst.alpha2)
     canonical = canonical_instance(inst.group, alpha_prime, new1, new2)
-    ker = (identity_endomorphism(inst.group) + alpha_prime).kernel()
-    return CanonicalizationResult(canonical, ker)
+    return CanonicalizationResult(canonical, obstruction_kernel(alpha_prime))

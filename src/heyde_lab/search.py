@@ -9,7 +9,8 @@ denominator caps (plus all shifted uniform-on-subgroup candidates and a
 batch of random pairs), decides symmetry exactly for each pair, and
 classifies every symmetric hit.  Both phases of the scan decide symmetry
 with one kernel over element indices: a support pair is feasible when its
-set of occupied joint-cell keys contains every mirror key, and a feasible
+set of occupied joint-cell keys contains the mirror of each (one rule,
+key + flip[t], turns the cell (s, t) into (s, -t)), and a feasible
 pair is symmetric when the joint weights of each cell and its mirror agree,
 summed from integer weight vectors on the grid and from the drawn Fraction
 masses in the random phase.  Every random-phase hit is confirmed by the
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -37,7 +38,6 @@ from .groups import (
     Endomorphism,
     FiniteAbelianGroup,
     Subgroup,
-    identity_endomorphism,
     make_group,
     order2_subgroup,
     scaling_endomorphism,
@@ -48,6 +48,7 @@ from .predicates import (
     FormsInstance,
     canonical_instance,
     is_conditionally_symmetric,
+    obstruction_kernel,
 )
 from .serialization import (
     distribution_to_json,
@@ -84,14 +85,6 @@ class SearchConfig:
             raise ValueError("caps must be >= 1")
         if self.random_trials < 0:
             raise ValueError("random_trials must be >= 0")
-
-    def to_json(self) -> dict:
-        return {
-            "support_size_cap": self.support_size_cap,
-            "denominator_cap": self.denominator_cap,
-            "random_trials": self.random_trials,
-            "seed": self.seed,
-        }
 
 
 def classify_distribution(mu: Distribution) -> dict:
@@ -130,13 +123,12 @@ def verdict_tags(class1: dict, class2: dict, kernel: Subgroup) -> tuple[str, ...
 
 @dataclass
 class SymmetryReport:
-    """Outcome record for one evaluated (group, alpha, mu1, mu2) instance."""
+    """Outcome record for one symmetric (group, alpha, mu1, mu2) instance."""
 
     group: FiniteAbelianGroup
     alpha: Endomorphism
     mu1: Distribution
     mu2: Distribution
-    symmetric: bool
     mu1_class: dict | None
     mu2_class: dict | None
     kernel: Subgroup
@@ -146,8 +138,7 @@ class SymmetryReport:
     @property
     def pair_idempotent(self) -> bool:
         return (
-            self.symmetric
-            and self.mu1_class["kind"] in _IDEMPOTENT_KINDS
+            self.mu1_class["kind"] in _IDEMPOTENT_KINDS
             and self.mu2_class["kind"] in _IDEMPOTENT_KINDS
         )
 
@@ -157,7 +148,7 @@ class SymmetryReport:
             "alpha": endomorphism_to_json(self.alpha),
             "mu1": distribution_to_json(self.mu1),
             "mu2": distribution_to_json(self.mu2),
-            "symmetric": self.symmetric,
+            "symmetric": True,
             "mu1_class": self.mu1_class,
             "mu2_class": self.mu2_class,
             "kernel": [list(e.coords) for e in self.kernel],
@@ -177,7 +168,7 @@ def _report_for_hit(
     c1 = classify_distribution(mu1)
     c2 = classify_distribution(mu2)
     tags = verdict_tags(c1, c2, kernel)
-    return SymmetryReport(group, alpha, mu1, mu2, True, c1, c2, kernel, tags, source)
+    return SymmetryReport(group, alpha, mu1, mu2, c1, c2, kernel, tags, source)
 
 
 def _checked_instance(
@@ -212,7 +203,7 @@ def kernel_construction(
     symmetric for any choice of weights; the construction verifies this
     exactly and refuses trivial kernels or supports escaping the kernel.
     """
-    kernel = (identity_endomorphism(group) + alpha).kernel()
+    kernel = obstruction_kernel(alpha)
     if kernel.is_trivial:
         raise ValueError("kernel of I + alpha is trivial; no construction exists")
     return _checked_instance(group, alpha, weights, weights, kernel, "kernel")
@@ -342,6 +333,7 @@ class ScanResult:
     config: SearchConfig
     hits: list[SymmetryReport]
     summary: dict
+    kernel: Subgroup
 
     @property
     def red_alert(self) -> bool:
@@ -417,26 +409,23 @@ def grid_scan(
             f"search space of {total_candidates}^2 pairs exceeds {MAX_CANDIDATES}"
         )
 
-    kernel = (identity_endomorphism(group) + alpha).kernel()
+    kernel = obstruction_kernel(alpha)
 
-    neg = group.negation_table()
     act = alpha.table
     # keys[x][y] = s*n + t for the joint cell (s, t) = (x + y, x + alpha y);
-    # mirrors[x][y] = s*n + neg[t] for its mirror (s, -t).
+    # its mirror (s, -t) has key s*n + t + flip[t], flip[t] = index(-t) - t.
+    flip = [minus_t - t for t, minus_t in enumerate(group.negation_table())]
     keys: list[list[int]] = []
-    mirrors: list[list[int]] = []
     for x in range(n):
         row = group.translation_row(x)
-        ts = [row[a] for a in act]
-        keys.append([s * n + t for s, t in zip(row, ts)])
-        mirrors.append([s * n + neg[t] for s, t in zip(row, ts)])
+        keys.append([s * n + row[a] for s, a in zip(row, act)])
 
     def cell_comparisons(sup_a, sup_b):
         """(cell, mirror) lists of support positions (i, j) whose joint
         weights must agree, or None when the pair is infeasible."""
         rows = [keys[x] for x in sup_a]
         occupied = {row[y] for row in rows for y in sup_b}
-        if not occupied.issuperset([mirrors[x][y] for x in sup_a for y in sup_b]):
+        if not all(k + flip[k % n] in occupied for k in occupied):
             return None
         cells: dict[int, list[tuple[int, int]]] = {}
         for i, row in enumerate(rows):
@@ -444,9 +433,9 @@ def grid_scan(
                 cells.setdefault(row[y], []).append((i, j))
         comparisons = []
         for key, cell in cells.items():
-            t = key % n
-            if t < neg[t]:
-                comparisons.append((cell, cells[key - t + neg[t]]))
+            step = flip[key % n]
+            if step > 0:
+                comparisons.append((cell, cells[key + step]))
         return comparisons
 
     def balanced(comparisons, wa, wb):
@@ -474,7 +463,9 @@ def grid_scan(
         # An element y of a feasible sup_b has the mirrors of its cells with
         # sup_a occupied by cells of sup_a x X, so test that first.
         reach = set().union(*(keys[x] for x in sup_a))
-        viable = {y for y in range(n) if all(mirrors[x][y] in reach for x in sup_a)}
+        viable = set(range(n))
+        for x in sup_a:
+            viable &= {y for y, k in enumerate(keys[x]) if k + flip[k % n] in reach}
         for sup_b in support_list:
             if not viable.issuperset(sup_b):
                 continue
@@ -524,7 +515,7 @@ def grid_scan(
     summary = {
         "group": group_to_json(group),
         "alpha": endomorphism_to_json(alpha),
-        "config": config.to_json(),
+        "config": asdict(config),
         "kernel": [list(e.coords) for e in kernel],
         "i_plus_alpha_automorphism": kernel.is_trivial,
         "grid_candidates": total_candidates,
@@ -532,7 +523,7 @@ def grid_scan(
         "counts": _hit_counts(hits),
         "red_alert": any("red-alert-nonidempotent" in r.tags for r in hits),
     }
-    return ScanResult(group, alpha, config, hits, summary)
+    return ScanResult(group, alpha, config, hits, summary, kernel)
 
 
 #: Tags for the finite-level p-power scans.
@@ -611,7 +602,7 @@ def padic_scan(p: int, k: int, c: int, config: SearchConfig) -> PadicScanReport:
     group = make_group([p**k])
     alpha = scaling_endomorphism(group, c % p**k)
     scan = grid_scan(group, alpha, config)
-    kernel = (identity_endomorphism(group) + alpha).kernel()
+    kernel = scan.kernel
 
     if p == 2:
         tag = PADIC_TAG_P2
@@ -633,7 +624,7 @@ def padic_scan(p: int, k: int, c: int, config: SearchConfig) -> PadicScanReport:
     else:
         nonzero = [group.index(x) for x in kernel if not x.is_zero]
         mu = _distribution(group, nonzero[:2], [1, 1])
-        inst = kernel_construction(group, alpha, mu)
+        inst = _checked_instance(group, alpha, mu, mu, kernel, "kernel")
         if not any(r.mu1 == inst.mu1 and r.mu2 == inst.mu2 for r in scan.hits):
             scan.hits.append(
                 _report_for_hit(group, alpha, inst.mu1, inst.mu2, kernel, "construction")

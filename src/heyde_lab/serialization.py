@@ -9,8 +9,9 @@ Formats:
                    or general-forms {"group": ..., "alpha1": ..., "alpha2": ...,
                    "beta1": ..., "beta2": ..., "mu1": ..., "mu2": ...}
 
-Keys of a distribution are comma-joined coordinates; values are exact
-fraction strings.  Any malformed input raises SchemaError.
+Cyclic orders and matrix entries are JSON integers (not booleans, floats
+or strings).  Keys of a distribution are comma-joined coordinates; values
+are exact fraction strings.  Any malformed input raises SchemaError.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ def _require(obj: Mapping[str, Any], key: str, context: str) -> Any:
     return obj[key]
 
 
+def _require_integers(values: Any, context: str) -> None:
+    """SchemaError unless values is a list of JSON integers (no booleans)."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise SchemaError(f"{context}: expected a list of integers, got {values!r}")
+
+
 def group_to_json(group: FiniteAbelianGroup) -> dict:
     return {"cyclic_orders": list(group.cyclic_orders)}
 
@@ -43,6 +50,7 @@ def group_from_json(obj: Any) -> FiniteAbelianGroup:
     orders = _require(obj, "cyclic_orders", "group")
     if not isinstance(orders, list) or not orders:
         raise SchemaError("group: cyclic_orders must be a non-empty list")
+    _require_integers(orders, "group: cyclic_orders")
     try:
         return make_group(orders)
     except (ValueError, TypeError) as exc:
@@ -57,6 +65,8 @@ def endomorphism_from_json(group: FiniteAbelianGroup, obj: Any) -> Endomorphism:
     matrix = _require(obj, "matrix", "endomorphism")
     if not isinstance(matrix, list):
         raise SchemaError("endomorphism: matrix must be a list of rows")
+    for row in matrix:
+        _require_integers(row, "endomorphism: matrix row")
     try:
         return Endomorphism(group, matrix)
     except (ValueError, TypeError) as exc:

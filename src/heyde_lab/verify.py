@@ -35,7 +35,6 @@ from .funceq import (
 )
 from .groups import (
     FiniteAbelianGroup,
-    identity_endomorphism,
     make_group,
     neg_identity_endomorphism,
     scaling_endomorphism,
@@ -50,6 +49,7 @@ from .predicates import (
     heyde_equation_check,
     independence_equation_check,
     is_conditionally_symmetric,
+    obstruction_kernel,
     symmetry_forces_equal,
 )
 from .search import (
@@ -83,15 +83,6 @@ class SuiteResult:
     checks: int
     failures: list[str] = field(default_factory=list)
     details: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": self.checks,
-            "failures": self.failures,
-            "details": self.details,
-        }
 
 
 def random_canonical_instance(
@@ -127,10 +118,9 @@ def engineered_symmetric_instances(seed: int = 0) -> list[FormsInstance]:
         if (alpha + neg).is_auto:
             pool.append(canonical_instance(group, alpha, uniform(group), uniform(group)))
         # iid pairs inside a nontrivial kernel of I + alpha, when one exists
-        ident = identity_endomorphism(group)
         for _ in range(40):
             beta = random_automorphism(group, rng)
-            kernel = (ident + beta).kernel()
+            kernel = obstruction_kernel(beta)
             if 2 < len(kernel) < group.order:
                 nonzero = [x for x in kernel if not x.is_zero]
                 mu = Distribution(
@@ -330,8 +320,7 @@ def suite_chain10(seed: int = 0) -> SuiteResult:
         checks += 1
         if worst > CHAIN_TOL:
             failures.append(f"instance {i}: chain residual {worst}")
-        kernel = (identity_endomorphism(inst.group) + inst.beta2).kernel()
-        if kernel.is_trivial and inst.group.order % 2 == 1:
+        if obstruction_kernel(inst.beta2).is_trivial and inst.group.order % 2 == 1:
             p, _q = quadratic_candidate(psi1, psi2, adj)
             checks += 1
             if max_third_difference(p) > CHAIN_TOL:

@@ -73,6 +73,20 @@ def test_endomorphism_round_trip():
         endomorphism_from_json(group, {"matrix": [[0, 1], [0, 0]]})
 
 
+@pytest.mark.parametrize("orders", [[3.7], [9.0], ["9"], [3, 2.5]])
+def test_group_schema_accepts_only_integers(orders):
+    """Floats and strings used to be truncated or parsed into a group."""
+    with pytest.raises(SchemaError, match="integers"):
+        group_from_json({"cyclic_orders": orders})
+
+
+@pytest.mark.parametrize("matrix", [[[2.9]], [[True]], [["2"]]])
+def test_endomorphism_schema_accepts_only_integers(matrix):
+    """On Z9 these used to be read as the matrix [[2]] or [[1]]."""
+    with pytest.raises(SchemaError, match="integers"):
+        endomorphism_from_json(make_group([9]), {"matrix": matrix})
+
+
 def test_distribution_round_trip():
     group = make_group([9, 3])
     mu = make_distribution(
@@ -159,6 +173,26 @@ def test_check_degenerate_verdicts(tmp_path):
     assert code == 1
     assert not report["symmetric"]
     assert report["witness"] is not None
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("group", {"cyclic_orders": [9.5]}), ("alpha", {"matrix": [[2.9]]})],
+)
+def test_check_rejects_non_integer_input(tmp_path, field, value):
+    """Truncated to Z9 and [[2]], this instance is symmetric and exits 0."""
+    instance = dict(KERNEL_INSTANCE, alpha={"matrix": [[2]]})
+    assert run_cli(["check", write(tmp_path, "ok.json", instance)])[0] == 0
+    path = write(tmp_path, "bad.json", dict(instance, **{field: value}))
+    code, output = run_cli(["check", path])
+    assert code == 2 and output == ""
+
+
+def test_search_rejects_non_integer_group(tmp_path):
+    group = write(tmp_path, "g.json", {"cyclic_orders": [3.7]})
+    alpha = write(tmp_path, "a.json", {"matrix": [[2]]})
+    code, output = run_cli(["search", group, alpha, "--trials", "0"])
+    assert code == 2 and output == ""
 
 
 def test_check_schema_failures_emit_no_report(tmp_path):

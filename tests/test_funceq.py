@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from heyde_lab import funceq
 from heyde_lab.distributions import (
     haar_on,
     make_distribution,
@@ -236,16 +237,18 @@ def test_trivial_kernel_symmetric_instance_has_vanishing_p():
     assert quadratic_check(p, tol=CHAIN_TOL)
 
 
-def test_chain_scan_randomized_path_on_large_group():
+def test_chain_scan_randomized_path_on_large_group(monkeypatch):
     """Groups with |Y|^3 above the full-enumeration bound fall back to
     seeded random triples; a degenerate symmetric pair still reports a
     zero residual."""
+    monkeypatch.setattr(funceq, "RANDOM_SEED", 3)
+    monkeypatch.setattr(funceq, "RANDOM_TRIPLES", 200)
     g47 = make_group([47])
     phi = neg_log_char(symmetrize(point_mass(g47, elem(g47, 11))))
     adj = scaling_endomorphism(g47, 5).adjoint()
-    worst, _ = max_chain_residual(phi, phi, adj, seed=3, random_triples=200)
+    worst, _ = max_chain_residual(phi, phi, adj)
     assert worst == 0.0
-    worst, _ = max_m_forms_residual(phi, phi, adj, seed=3, random_triples=200)
+    worst, _ = max_m_forms_residual(phi, phi, adj)
     assert worst == 0.0
 
 

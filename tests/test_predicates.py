@@ -15,6 +15,7 @@ from heyde_lab.distributions import (
     uniform,
 )
 from heyde_lab.groups import (
+    Endomorphism,
     identity_endomorphism,
     make_group,
     neg_identity_endomorphism,
@@ -98,6 +99,25 @@ def test_joint_brute_force_oracle():
                 Fraction(0),
             )
             assert joint.prob(s, t) == expected
+
+
+def test_joint_applies_each_coefficient_once_per_support_point(monkeypatch):
+    """3 x 4 supports: 2*3 + 2*4 coefficient applications, not 2*3 + 2*12."""
+    g9 = make_group([9])
+    mu1 = rational(g9, [(0, 1), (2, 3), (5, 1)])
+    mu2 = rational(g9, [(1, 2), (4, 1), (6, 1), (8, 1)])
+    inst = canonical_instance(g9, scaling_endomorphism(g9, 2), mu1, mu2)
+    expected = joint_of_forms(inst).probs
+    calls = []
+    original = Endomorphism.__call__
+
+    def counted(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(Endomorphism, "__call__", counted)
+    assert joint_of_forms(inst).probs == expected
+    assert len(calls) == 2 * 3 + 2 * 4
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from heyde_lab.distributions import haar_on, make_distribution, point_mass, unif
 from heyde_lab import search
 from heyde_lab.distributions import Distribution
 from heyde_lab.groups import (
+    Endomorphism,
     identity_endomorphism,
     make_group,
     neg_identity_endomorphism,
@@ -418,6 +419,26 @@ def test_padic_kernel_case():
     assert report.consistent is True
     assert [x.coords[0] for x in report.kernel] == [0, 9, 18]
     assert any(not r.pair_idempotent for r in report.scan.hits)
+
+
+@pytest.mark.parametrize("caps", [(1, 1), (2, 4)])
+def test_padic_builds_the_obstruction_kernel_once(monkeypatch, caps):
+    """The scan's Ker(I + alpha) serves the report and the injected
+    construction; caps 1/1 force the injection."""
+    calls = []
+    original = Endomorphism.kernel
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Endomorphism, "kernel", counted)
+    config = SearchConfig(
+        support_size_cap=caps[0], denominator_cap=caps[1], random_trials=50
+    )
+    report = padic_scan(3, 3, 5, config)
+    assert [x.coords[0] for x in report.kernel] == [0, 9, 18]
+    assert len(calls) == 1
 
 
 def test_padic_counts_include_injected_construction():
