@@ -4,17 +4,20 @@ Probabilities are ``fractions.Fraction`` values, so convolution, reflection,
 push-forwards and all equality predicates are exact.  Every law that sums
 masses by image (convolution, push-forward, empirical law, and the joint
 law and marginals in ``predicates``) is built by one accumulator,
-:func:`accumulate`.  Characteristic functions (group Fourier transforms)
-are complex doubles and carry a tolerance; whenever a question can be
-decided in probability space it is decided there.
+:func:`accumulate`, and validated on integer numerators over one common
+denominator by :func:`exact_masses`.  Characteristic functions (group
+Fourier transforms) are complex doubles, summed from one row of character
+values per support point, and carry a tolerance; whenever a question can
+be decided in probability space it is decided there.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping
+from typing import Any, Hashable, Iterable, Mapping
 
 from .groups import (
     Endomorphism,
@@ -22,7 +25,6 @@ from .groups import (
     GroupElement,
     Subgroup,
     annihilator,
-    character,
 )
 
 #: General tolerance for characteristic-function comparisons.
@@ -55,20 +57,18 @@ class Distribution:
     probs: dict[GroupElement, Fraction]
 
     def __post_init__(self):
-        cleaned: dict[GroupElement, Fraction] = {}
-        total = Fraction(0)
-        for x, p in self.probs.items():
-            if x.group != self.group:
+        group = self.group
+        for x in self.probs:
+            if x.group is not group and x.group != group:
                 raise ValueError("distribution key outside the group")
-            p = Fraction(p)
-            if p < 0:
+        masses, d, numerators = exact_masses(self.probs)
+        for x, p in masses.items():
+            if p.numerator < 0:
                 raise ValueError(f"negative probability {p} at {x}")
-            total += p
-            if p:
-                cleaned[x] = p
-        if total != 1:
+        if sum(numerators) != d:
+            total = Fraction(sum(numerators), d)
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        self.probs = cleaned
+        self.probs = masses
 
     def prob(self, x: GroupElement) -> Fraction:
         return self.probs.get(x, Fraction(0))
@@ -108,6 +108,19 @@ class CharFunction:
 
     def __call__(self, y: GroupElement) -> complex:
         return self.values[y]
+
+
+def exact_masses(probs: Mapping[Hashable, Any]) -> tuple[dict, int, list[int]]:
+    """The nonzero masses as Fractions (p as ``Fraction(p)``) in key order,
+    the lcm d of their denominators, and d times each mass, an integer."""
+    masses = {}
+    for key, p in probs.items():
+        if type(p) is not Fraction:
+            p = Fraction(p)
+        if p.numerator:
+            masses[key] = p
+    d = math.lcm(*[p.denominator for p in masses.values()])
+    return masses, d, [p.numerator * (d // p.denominator) for p in masses.values()]
 
 
 def accumulate(masses: Iterable[tuple[Hashable, Fraction | int]]) -> dict:
@@ -179,14 +192,10 @@ def char_function(mu: Distribution) -> CharFunction:
 def char_values_list(mu: Distribution) -> list[complex]:
     """Characteristic values in lexicographic element order (no validation)."""
     group = mu.group
-    support = mu.support()
-    weights = [float(mu.probs[x]) for x in support]
-    out = []
-    for y in group.elements:
-        acc = 0j
-        for x, w in zip(support, weights):
-            acc += w * character(x, y)
-        out.append(acc)
+    out = [0j] * group.order
+    for x in mu.support():
+        w = float(mu.probs[x])
+        out = [acc + w * c for acc, c in zip(out, group.character_row(x))]
     # the identity character sums the weights exactly
     out[0] = complex(1.0, 0.0)
     return out
@@ -207,8 +216,8 @@ def distribution_from_char(f: CharFunction) -> Distribution:
     masses: dict[GroupElement, Fraction] = {}
     for x in group.elements:
         acc = 0j
-        for y in group.elements:
-            acc += f.values[y] * character(x, y).conjugate()
+        for y, c in zip(group.elements, group.character_row(x)):
+            acc += f.values[y] * c.conjugate()
         acc /= n
         if abs(acc.imag) > CHAR_TOL:
             raise InvalidCharFunctionError(

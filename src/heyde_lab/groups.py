@@ -12,12 +12,12 @@ loops over all elements or pairs, here and in the modules above, read
 ``negation_table()`` and ``translation_row(i)``, computed from those
 digits.  Every element operation and endomorphism image is reduced modulo
 the cyclic orders by one reducer, ``FiniteAbelianGroup._reduce``.  An
-endomorphism walks the group once, into a table of element indices, and
-reads ``is_auto``, its kernel, image and inverse off that table.  A
-subgroup is held as its element set: a generated one is closed coset by
-coset from its generators, and one given by its elements is validated by
-closing generators picked from inside it.  Annihilators are found by
-enumeration.
+endomorphism's table of image indices and a character's row of values are
+digit sums, and ``is_auto``, the kernel, image and inverse are read off
+the table.  A subgroup is held as its element set: a generated one is
+closed coset by coset from its generators, and one given by its elements
+is validated by closing generators picked from inside it.  Annihilators
+are found by enumeration.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class FiniteAbelianGroup:
         self._roots: tuple[complex, ...] | None = None
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return other is self or (
             isinstance(other, FiniteAbelianGroup)
             and self.cyclic_orders == other.cyclic_orders
         )
@@ -162,6 +162,13 @@ class FiniteAbelianGroup:
             return self._roots[t]
         return cmath.exp(2j * math.pi * t / self.exponent)
 
+    def character_row(self, x: GroupElement) -> list[complex]:
+        """character(x, y) for each element y, in element order."""
+        return list(map(self.root_of_unity, _digit_sums(
+            [a * w * e for e in range(n)]
+            for a, n, w in zip(x.coords, self.cyclic_orders, self._pair_weights)
+        )))
+
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -170,8 +177,16 @@ class GroupElement:
     group: FiniteAbelianGroup
     coords: tuple[int, ...]
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, GroupElement) and self.coords == other.coords and (
+            self.group is other.group or self.group == other.group
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
+
     def _check(self, other: GroupElement) -> None:
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise ValueError("elements belong to different groups")
 
     def __add__(self, other: GroupElement) -> GroupElement:
@@ -386,10 +401,16 @@ class Endomorphism:
 
     @property
     def table(self) -> tuple[int, ...]:
-        """Index of alpha(x) for each element x, in element order."""
+        """Index of alpha(x) = sum_i (sum_j a_ij x_j mod n_i) * s_i per x."""
         if self._table is None:
-            index = self.group.index
-            self._table = tuple(index(self(x)) for x in self.group.elements)
+            orders = self.group.cyclic_orders
+            images = [
+                [r % n * s for r in _digit_sums(
+                    [a * e for e in range(m)] for a, m in zip(row, orders)
+                )]
+                for row, n, s in zip(self.matrix, orders, self.group._strides)
+            ]
+            self._table = tuple(map(sum, zip(*images)))
         return self._table
 
     @property
@@ -397,7 +418,7 @@ class Endomorphism:
         return len(set(self.table)) == self.group.order
 
     def __call__(self, x: GroupElement) -> GroupElement:
-        if x.group != self.group:
+        if x.group is not self.group and x.group != self.group:
             raise ValueError("element outside the endomorphism's group")
         return self.group._reduce(
             [sum(map(operator.mul, row, x.coords)) for row in self.matrix]

@@ -23,6 +23,7 @@ from .distributions import (
     Distribution,
     accumulate,
     char_values_list,
+    exact_masses,
     push_forward,
 )
 from .groups import (
@@ -82,12 +83,15 @@ class JointDistribution:
     probs: dict[tuple[GroupElement, GroupElement], Fraction]
 
     def __post_init__(self):
-        total = sum(self.probs.values(), Fraction(0))
-        if total != 1:
-            raise ValueError(f"joint probabilities sum to {total}")
-        if any(p < 0 for p in self.probs.values()):
+        elements = (x for key in self.probs for x in key)
+        if any(x.group is not self.group and x.group != self.group for x in elements):
+            raise ValueError("joint law key outside the group")
+        masses, d, numerators = exact_masses(self.probs)
+        if sum(numerators) != d:
+            raise ValueError(f"joint probabilities sum to {Fraction(sum(numerators), d)}")
+        if any(w < 0 for w in numerators):
             raise ValueError("negative joint probability")
-        self.probs = {k: p for k, p in self.probs.items() if p}
+        self.probs = masses
 
     def prob(self, s: GroupElement, t: GroupElement) -> Fraction:
         return self.probs.get((s, t), Fraction(0))
@@ -114,13 +118,18 @@ class JointDistribution:
 
 def joint_of_forms(inst: FormsInstance) -> JointDistribution:
     """Enumerate the joint law of (L1, L2) over the support product; each
-    coefficient is applied once per support point."""
+    coefficient is applied once per support point.  A cell sums integer
+    masses over the laws' common denominators d1 and d2, then divides."""
     a1, a2, b1, b2 = inst.alpha1, inst.alpha2, inst.beta1, inst.beta2
-    first = [(a1(x), b1(x), p) for x, p in inst.mu1.probs.items()]
-    second = [(a2(x), b2(x), q) for x, q in inst.mu2.probs.items()]
-    return JointDistribution(inst.group, accumulate(
-        ((u1 + u2, v1 + v2), p * q) for u1, v1, p in first for u2, v2, q in second
-    ))
+    masses1, d1, weights1 = exact_masses(inst.mu1.probs)
+    masses2, d2, weights2 = exact_masses(inst.mu2.probs)
+    first = [(a1(x), b1(x), w) for x, w in zip(masses1, weights1)]
+    second = [(a2(x), b2(x), w) for x, w in zip(masses2, weights2)]
+    cells = accumulate(
+        ((u1 + u2, v1 + v2), w1 * w2) for u1, v1, w1 in first for u2, v2, w2 in second
+    )
+    d = d1 * d2
+    return JointDistribution(inst.group, {k: Fraction(w, d) for k, w in cells.items()})
 
 
 def conditional_symmetry_witness(

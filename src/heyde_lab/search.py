@@ -171,7 +171,7 @@ def _report_for_hit(
     return SymmetryReport(group, alpha, mu1, mu2, c1, c2, kernel, tags, source)
 
 
-def _checked_instance(
+def checked_instance(
     group: FiniteAbelianGroup,
     alpha: Endomorphism,
     mu1: Distribution,
@@ -206,7 +206,7 @@ def kernel_construction(
     kernel = obstruction_kernel(alpha)
     if kernel.is_trivial:
         raise ValueError("kernel of I + alpha is trivial; no construction exists")
-    return _checked_instance(group, alpha, weights, weights, kernel, "kernel")
+    return checked_instance(group, alpha, weights, weights, kernel, "kernel")
 
 
 def order2_construction(
@@ -221,7 +221,7 @@ def order2_construction(
     torsion = order2_subgroup(group)
     if torsion.is_trivial:
         raise ValueError("the order-2 subgroup is trivial")
-    return _checked_instance(group, alpha, mu1, mu2, torsion, "order-2 subgroup")
+    return checked_instance(group, alpha, mu1, mu2, torsion, "order-2 subgroup")
 
 
 def all_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
@@ -624,7 +624,7 @@ def padic_scan(p: int, k: int, c: int, config: SearchConfig) -> PadicScanReport:
     else:
         nonzero = [group.index(x) for x in kernel if not x.is_zero]
         mu = _distribution(group, nonzero[:2], [1, 1])
-        inst = _checked_instance(group, alpha, mu, mu, kernel, "kernel")
+        inst = checked_instance(group, alpha, mu, mu, kernel, "kernel")
         if not any(r.mu1 == inst.mu1 and r.mu2 == inst.mu2 for r in scan.hits):
             scan.hits.append(
                 _report_for_hit(group, alpha, inst.mu1, inst.mu2, kernel, "construction")

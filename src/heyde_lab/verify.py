@@ -54,8 +54,8 @@ from .predicates import (
 )
 from .search import (
     SearchConfig,
+    checked_instance,
     grid_scan,
-    kernel_construction,
     padic_scan,
     random_automorphism,
     random_distribution,
@@ -127,8 +127,8 @@ def engineered_symmetric_instances(seed: int = 0) -> list[FormsInstance]:
                     group,
                     {nonzero[0]: Fraction(1, 3), nonzero[1]: Fraction(2, 3)},
                 )
-                pool.append(kernel_construction(group, beta, mu))
-                pool.append(kernel_construction(group, beta, haar_on(kernel)))
+                for law in (mu, haar_on(kernel)):
+                    pool.append(checked_instance(group, beta, law, law, kernel, "kernel"))
                 break
     g15 = make_group([15])
     k5 = subgroup_generated(g15, [g15.element([3])])

@@ -237,6 +237,24 @@ def test_check_deterministic_output(tmp_path):
     assert out1 == out2
 
 
+def test_check_output_pinned(tmp_path, monkeypatch):
+    """stdout of a non-symmetric Z9xZ27 check with a nontrivial Ker(I + alpha),
+    hashed at a fixed timestamp: the Fourier cross-checks' floats decide eq42
+    and eq4."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "inst.json", {
+        "group": {"cyclic_orders": [9, 27]},
+        "alpha": {"matrix": [[2, 3], [6, 5]]},
+        "mu1": {"probs": {"0,0": "1/6", "3,9": "1/3", "6,18": "1/2"}},
+        "mu2": {"probs": {"1,8": "1/4", "8,19": "1/4", "0,0": "1/2"}},
+    })
+    code, output = run_cli(["check", "inst.json"])
+    assert code == 1
+    assert hashlib.sha256(output.encode()).hexdigest() == (
+        "7118757c788c4f3a3ad72c99c03347d53eb795481ae659599f6d78e7e77ebe66"
+    )
+
+
 def test_check_disagreement_exits_3(tmp_path, monkeypatch):
     """A forced mismatch between the exact predicate and the tolerance
     check must exit 3 while still emitting the report."""
@@ -427,6 +445,20 @@ def test_verify_lemma1_reduced():
     )
     assert code == 0
     assert "lemma1: PASS" in output
+
+
+def test_verify_report_pinned(tmp_path):
+    """The --out report of lemma1 at seed 0, hashed at a fixed timestamp."""
+    report = tmp_path / "report.json"
+    code, output = run_cli(
+        ["verify", "--suite", "lemma1", "--seed", "0", "--trials", "50",
+         "--out", str(report)]
+    )
+    assert code == 0
+    assert output == "lemma1: PASS (84 checks)\n"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "a6d518297b1b55d3f9860f816c2e4ad1e50fbe6905542a13f79777a9f09b7a6a"
+    )
 
 
 def test_verify_rejects_negative_trials(capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -38,6 +39,7 @@ from heyde_lab.groups import (
     scaling_endomorphism,
     subgroup_generated,
 )
+from heyde_lab.search import random_distribution
 
 DIST_ORDERS = [[5], [7], [9], [3, 3], [2, 3], [4]]
 
@@ -155,6 +157,31 @@ def test_symmetrized_char_nonnegative(gd):
         assert values[i].imag == pytest.approx(0, abs=1e-9)
         assert values[i].real >= -1e-9
         assert values[i].real == pytest.approx(abs(f[i]) ** 2, abs=1e-9)
+
+
+def _reference_char_values(mu):
+    """One character() call per (element, support point), summed in support
+    order."""
+    support = mu.support()
+    weights = [float(mu.probs[x]) for x in support]
+    out = []
+    for y in mu.group.elements:
+        acc = 0j
+        for x, w in zip(support, weights):
+            acc += w * character(x, y)
+        out.append(acc)
+    out[0] = complex(1.0, 0.0)
+    return out
+
+
+@pytest.mark.parametrize("orders", [[9, 27], [3, 3, 3, 3, 3], [2, 6], [5003]])
+def test_char_values_bit_identical_to_character_loop(orders):
+    """Exact float equality, also past the root table (exponent 5003 > 4096)."""
+    group = make_group(orders)
+    rng = random.Random(group.order)
+    for _ in range(4):
+        mu = random_distribution(group, rng, 5, 9)
+        assert char_values_list(mu) == _reference_char_values(mu)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import hypothesis.strategies as st
 import numpy as np
@@ -89,6 +90,17 @@ def test_element_arithmetic_reduces():
 def test_cross_group_arithmetic_rejected():
     with pytest.raises(ValueError):
         elem(make_group([5]), 1) + elem(make_group([7]), 1)
+
+
+def test_element_equality_and_hash():
+    """Equal coordinates in equal groups are equal elements, whichever
+    object holds the group; a different group or a tuple is never equal."""
+    a, b = elem(make_group([3]), 1), elem(make_group([3]), 1)
+    assert a.group is not b.group
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert elem(make_group([3]), 1) != elem(make_group([5]), 1)
+    assert a != (1,) and (1,) != a
+    assert a != elem(a.group, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +308,26 @@ def test_endomorphism_table_matches_enumeration(orders, data):
     else:
         with pytest.raises(ValueError):
             endo.inverse()
+
+
+def test_endomorphism_table_rank3_non_diagonal():
+    """The digit-sum table equals index(alpha(x)) for every x, for random
+    compatible matrices with nonzero off-diagonal entries on Z2xZ4xZ4."""
+    group = make_group([2, 4, 4])
+    n = group.cyclic_orders
+    rng = random.Random(0)
+    checked = 0
+    while checked < 25:
+        matrix = [
+            [(n[i] // math.gcd(n[i], n[j])) * rng.randrange(math.gcd(n[i], n[j]))
+             for j in range(3)]
+            for i in range(3)
+        ]
+        if not any(matrix[i][j] for i in range(3) for j in range(3) if i != j):
+            continue
+        endo = Endomorphism(group, matrix)
+        assert endo.table == tuple(group.index(endo(x)) for x in group.elements)
+        checked += 1
 
 
 @given(st.sampled_from(SMALL_ORDERS), st.data())

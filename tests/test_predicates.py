@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from heyde_lab.distributions import (
+    Distribution,
     char_values_list,
     convolve,
     haar_on,
@@ -24,6 +25,7 @@ from heyde_lab.groups import (
 )
 from heyde_lab.predicates import (
     FormsInstance,
+    JointDistribution,
     NonCanonicalInstanceError,
     are_forms_independent,
     canonical_instance,
@@ -118,6 +120,77 @@ def test_joint_applies_each_coefficient_once_per_support_point(monkeypatch):
     monkeypatch.setattr(Endomorphism, "__call__", counted)
     assert joint_of_forms(inst).probs == expected
     assert len(calls) == 2 * 3 + 2 * 4
+
+
+def _reference_joint(inst):
+    """The joint law summed as one Fraction product per support pair."""
+    out = {}
+    for x1, p in inst.mu1.probs.items():
+        for x2, q in inst.mu2.probs.items():
+            key = (inst.alpha1(x1) + inst.alpha2(x2), inst.beta1(x1) + inst.beta2(x2))
+            out[key] = out.get(key, 0) + p * q
+    return out
+
+
+@pytest.mark.parametrize("orders", [[9], [4, 2], [2, 6], [3, 3], [9, 27]])
+def test_joint_matches_fraction_product_reference(orders):
+    """Same keys, in the same order, with equal values, on canonical and
+    derived-forms instances with random laws."""
+    group = make_group(orders)
+    rng = random.Random(sum(orders))
+    for _ in range(15):
+        mu1 = random_distribution(group, rng, 4, 7)
+        mu2 = random_distribution(group, rng, 4, 7)
+        inst = canonical_instance(group, random_automorphism(group, rng), mu1, mu2)
+        for case in (inst, derived_forms_instance(inst)):
+            expected = _reference_joint(case)
+            got = joint_of_forms(case).probs
+            assert list(got) == list(expected)
+            assert all(got[k] == v and type(got[k]) is Fraction for k, v in expected.items())
+
+
+LAWS = {"distribution": Distribution, "joint": JointDistribution}
+SUM_MESSAGES = {
+    "distribution": "probabilities sum to 5/6, expected 1",
+    "joint": "joint probabilities sum to 5/6",
+}
+
+
+def _keyed(kind, group, masses, start=0):
+    """Masses on the elements (start + i,), or on the pairs ((start + i,), 0)."""
+    points = [group.element([start + i]) for i in range(len(masses))]
+    if kind == "distribution":
+        return dict(zip(points, masses))
+    return {(x, group.zero): p for x, p in zip(points, masses)}
+
+
+@pytest.mark.parametrize("kind", ["distribution", "joint"])
+def test_law_validation(kind):
+    law, g7, g5 = LAWS[kind], make_group([7]), make_group([5])
+    with pytest.raises(ValueError, match="negative"):
+        law(g7, _keyed(kind, g7, [Fraction(3, 2), Fraction(-1, 2)]))
+    with pytest.raises(ValueError) as exc:
+        law(g7, _keyed(kind, g7, [Fraction(1, 2), Fraction(1, 3)]))
+    assert str(exc.value) == SUM_MESSAGES[kind]
+    half = Fraction(1, 2)
+    for foreign in (_keyed(kind, g5, [half], start=1), _keyed(kind, g5, [0], start=1)):
+        with pytest.raises(ValueError, match="outside the group"):
+            law(g7, {**_keyed(kind, g7, [half]), **foreign})
+    if kind == "joint":
+        with pytest.raises(ValueError, match="outside the group"):
+            law(g7, {(g7.zero, g5.zero): Fraction(1)})
+
+
+@pytest.mark.parametrize("kind", ["distribution", "joint"])
+def test_law_accepts_int_str_float_and_drops_zeros(kind):
+    g7 = make_group([7])
+    masses = _keyed(kind, g7, [0, "1/4", 0.5, Fraction(0), 0.25, "0"])
+    law = LAWS[kind](g7, masses)
+    keys = list(masses)
+    assert list(law.probs) == [keys[1], keys[2], keys[4]]
+    assert list(law.probs.values()) == [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
+    assert all(type(p) is Fraction for p in law.probs.values())
+    assert list(LAWS[kind](g7, _keyed(kind, g7, [1])).probs.values()) == [Fraction(1)]
 
 
 # ---------------------------------------------------------------------------

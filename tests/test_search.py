@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -34,6 +35,8 @@ from heyde_lab.search import (
     random_distribution,
     weight_vectors,
 )
+from heyde_lab.serialization import instance_to_json
+from heyde_lab.verify import engineered_symmetric_instances
 
 
 def elem(group, *coords):
@@ -439,6 +442,26 @@ def test_padic_builds_the_obstruction_kernel_once(monkeypatch, caps):
     report = padic_scan(3, 3, 5, config)
     assert [x.coords[0] for x in report.kernel] == [0, 9, 18]
     assert len(calls) == 1
+
+
+def test_engineered_pool_builds_each_obstruction_kernel_once(monkeypatch):
+    """The pool hands the Ker(I + beta) it tested to the checked-instance
+    helper, so its two constructions build no kernel of their own; the
+    pool's content is pinned."""
+    calls = []
+    original = Endomorphism.kernel
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Endomorphism, "kernel", counted)
+    pool = engineered_symmetric_instances(0)
+    assert len(calls) == 124
+    encoded = json.dumps([instance_to_json(inst) for inst in pool], sort_keys=True)
+    assert hashlib.sha256(encoded.encode()).hexdigest() == (
+        "676bc29e5863c663bbe9edc5c3b84800d5b514e921f46b2723a66587175a1702"
+    )
 
 
 def test_padic_counts_include_injected_construction():
