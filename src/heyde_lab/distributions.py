@@ -1,23 +1,29 @@
 """Exact rational probability distributions on a finite abelian group.
 
-Probabilities are ``fractions.Fraction`` values, so convolution, reflection,
-push-forwards and all equality predicates are exact.  Every law that sums
-masses by image (convolution, push-forward, empirical law, and the joint
-law and marginals in ``predicates``) is built by one accumulator,
-:func:`accumulate`, and validated on integer numerators over one common
-denominator by :func:`exact_masses`.  Characteristic functions (group
-Fourier transforms) are complex doubles, summed from one row of character
-values per support point, and carry a tolerance; whenever a question can
-be decided in probability space it is decided there.
+A law is held as positive integer numerators on sorted element indices
+over one denominator, so convolution, reflection, push-forwards and all
+equality predicates are exact; they sum numerator products over the
+group's index tables.  The ``Fraction`` masses keyed by element are a
+read-only view built on first use.  Masses given by element are
+validated on integer numerators over one common denominator by
+:func:`exact_masses`, and laws summed by image use one accumulator,
+:func:`accumulate`.  Characteristic functions (group Fourier transforms)
+are complex doubles, summed from one row of character values per support
+point, and carry a tolerance; whenever a question can be decided in
+probability space it is decided there.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Any, Hashable, Iterable, Mapping
+from types import MappingProxyType
+from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 from .groups import (
     Endomorphism,
@@ -45,40 +51,84 @@ class AmbiguousCharValueError(ValueError):
     """A characteristic value sits inside the numeric ambiguity window."""
 
 
-@dataclass
 class Distribution:
-    """Probability distribution with exact rational weights.
+    """Probability distribution with exact rational weights: positive
+    integer numerators on strictly increasing element indices over their
+    least common denominator, so equal laws have equal forms.
 
-    Zero-weight keys are dropped on construction; the weights must be
-    nonnegative and sum to exactly 1.
+    ``Distribution(group, probs)`` takes masses keyed by element (Fractions,
+    ints, floats or strings), drops zeros and requires the rest to be
+    nonnegative and to sum to exactly 1; ``from_weights`` normalizes
+    positive integer weights by their sum.  ``probs`` is the Fraction view
+    in index order.
     """
 
-    group: FiniteAbelianGroup
-    probs: dict[GroupElement, Fraction]
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, group: FiniteAbelianGroup, probs: Mapping[GroupElement, Any]):
+        if any(x.group is not group and x.group != group for x in probs):
+            raise ValueError("distribution key outside the group")
+        masses, d, numerators = exact_masses(probs)
+        pairs = sorted(zip(map(group.index, masses), numerators))
+        self._build(group, [i for i, _ in pairs], [w for _, w in pairs], d)
+
+    @classmethod
+    def from_weights(
+        cls, group: FiniteAbelianGroup, indices: Sequence[int], weights: Sequence[int]
+    ) -> Distribution:
+        """Mass w / sum(weights) on the element of each index."""
+        g = math.gcd(*weights)
+        if g > 1:
+            weights = [w // g for w in weights]
+        mu = cls.__new__(cls)
+        mu._build(group, indices, weights, sum(weights))
+        return mu
+
+    def _build(self, group, indices, numerators, denominator) -> None:
+        self.group, self.denominator = group, denominator
+        self.indices, self.numerators = tuple(indices), tuple(numerators)
+        self.__post_init__()
 
     def __post_init__(self):
-        group = self.group
-        for x in self.probs:
-            if x.group is not group and x.group != group:
-                raise ValueError("distribution key outside the group")
-        masses, d, numerators = exact_masses(self.probs)
-        for x, p in masses.items():
-            if p.numerator < 0:
-                raise ValueError(f"negative probability {p} at {x}")
-        if sum(numerators) != d:
-            total = Fraction(sum(numerators), d)
-            raise ValueError(f"probabilities sum to {total}, expected 1")
-        self.probs = masses
+        """The one check of every build, made on the integer form."""
+        group, indices, nums, d = self.group, self.indices, self.numerators, self.denominator
+        if len(nums) != len(indices) or indices and not (
+            0 <= indices[0] and indices[-1] < group.order
+            and all(map(operator.lt, indices, indices[1:]))
+        ):
+            raise ValueError("support indices must increase strictly inside the group")
+        if min(nums, default=1) <= 0:
+            i, w = next((i, w) for i, w in zip(indices, nums) if w <= 0)
+            if w < 0 < d:
+                raise ValueError(f"negative probability {Fraction(w, d)} at {group.elements[i]}")
+            raise ValueError(f"nonpositive weight {w} at {group.elements[i]}")
+        if not nums or sum(nums) != d:
+            raise ValueError(f"probabilities sum to {Fraction(sum(nums), d or 1)}, expected 1")
+
+    @cached_property
+    def probs(self) -> Mapping[GroupElement, Fraction]:
+        elements, d = self.group.elements, self.denominator
+        return MappingProxyType({
+            elements[i]: Fraction(w, d) for i, w in zip(self.indices, self.numerators)
+        })
+
+    def __reduce__(self):  # the cached view is not picklable; rebuild from integers
+        return Distribution.from_weights, (self.group, self.indices, self.numerators)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Distribution) and self.group == other.group and (
+            self.indices, self.numerators, self.denominator
+        ) == (other.indices, other.numerators, other.denominator)
 
     def prob(self, x: GroupElement) -> Fraction:
         return self.probs.get(x, Fraction(0))
 
     def support(self) -> tuple[GroupElement, ...]:
-        return tuple(sorted(self.probs, key=lambda e: e.coords))
+        elements = self.group.elements
+        return tuple(elements[i] for i in self.indices)
 
     def __repr__(self) -> str:
-        items = ", ".join(f"{x!r}: {p}" for x, p in sorted(
-            self.probs.items(), key=lambda kv: kv[0].coords))
+        items = ", ".join(f"{x!r}: {p}" for x, p in self.probs.items())
         return "Distribution({" + items + "})"
 
 
@@ -138,46 +188,53 @@ def make_distribution(
     return Distribution(group, dict(probs))
 
 
+def _law(group: FiniteAbelianGroup, pairs: Iterable[tuple[int, int]]) -> Distribution:
+    """The law with integer weights given as (element index, weight) pairs,
+    summed by index."""
+    return Distribution.from_weights(group, *zip(*sorted(accumulate(pairs).items())))
+
+
 def point_mass(group: FiniteAbelianGroup, x: GroupElement) -> Distribution:
     if x.group != group:
         raise ValueError("point outside the group")
-    return Distribution(group, {x: Fraction(1)})
+    return Distribution.from_weights(group, [group.index(x)], [1])
 
 
 def uniform(group: FiniteAbelianGroup) -> Distribution:
-    p = Fraction(1, group.order)
-    return Distribution(group, {x: p for x in group.elements})
+    return Distribution.from_weights(group, range(group.order), [1] * group.order)
 
 
 def haar_on(sub: Subgroup) -> Distribution:
     """Uniform distribution on a subgroup."""
-    p = Fraction(1, len(sub))
-    return Distribution(sub.parent, {x: p for x in sub})
+    return Distribution.from_weights(sub.parent, [sub.parent.index(x) for x in sub], [1] * len(sub))
 
 
 def convolve(mu: Distribution, nu: Distribution) -> Distribution:
     if mu.group != nu.group:
         raise ValueError("cannot convolve distributions on different groups")
-    return Distribution(mu.group, accumulate(
-        (x + y, p * q) for x, p in mu.probs.items() for y, q in nu.probs.items()
-    ))
+    pairs = list(zip(nu.indices, nu.numerators))
+    rows = zip(map(mu.group.translation_row, mu.indices), mu.numerators)
+    return _law(mu.group, ((row[j], w * v) for row, w in rows for j, v in pairs))
 
 
 def reflect(mu: Distribution) -> Distribution:
     """Distribution of -X; its characteristic function is the conjugate."""
-    return Distribution(mu.group, {-x: p for x, p in mu.probs.items()})
+    neg = mu.group.negation_table()
+    return _law(mu.group, ((neg[i], w) for i, w in zip(mu.indices, mu.numerators)))
 
 
 def shift(mu: Distribution, x: GroupElement) -> Distribution:
     if x.group != mu.group:
         raise ValueError("shift outside the group")
-    return Distribution(mu.group, {y + x: p for y, p in mu.probs.items()})
+    row = mu.group.translation_row(mu.group.index(x))
+    return _law(mu.group, ((row[i], w) for i, w in zip(mu.indices, mu.numerators)))
 
 
 def push_forward(mu: Distribution, alpha: Endomorphism) -> Distribution:
     if alpha.group != mu.group:
         raise ValueError("endomorphism acts on a different group")
-    return Distribution(mu.group, accumulate((alpha(x), p) for x, p in mu.probs.items()))
+    table = alpha.table
+    return _law(mu.group, ((table[i], w) for i, w in zip(mu.indices, mu.numerators)))
 
 
 def symmetrize(mu: Distribution) -> Distribution:
@@ -191,11 +248,12 @@ def char_function(mu: Distribution) -> CharFunction:
 
 def char_values_list(mu: Distribution) -> list[complex]:
     """Characteristic values in lexicographic element order (no validation)."""
-    group = mu.group
+    group, d = mu.group, mu.denominator
     out = [0j] * group.order
-    for x in mu.support():
-        w = float(mu.probs[x])
-        out = [acc + w * c for acc, c in zip(out, group.character_row(x))]
+    for x, w in zip(mu.support(), mu.numerators):
+        # int true division rounds correctly, as float(Fraction(w, d)) does
+        p = w / d
+        out = [acc + p * c for acc, c in zip(out, group.character_row(x))]
     # the identity character sums the weights exactly
     out[0] = complex(1.0, 0.0)
     return out
@@ -279,7 +337,7 @@ class IdempotentWitness:
 
 
 def is_degenerate(mu: Distribution) -> bool:
-    return len(mu.probs) == 1
+    return len(mu.indices) == 1
 
 
 def is_idempotent_shift(mu: Distribution) -> IdempotentWitness | None:
@@ -289,11 +347,10 @@ def is_idempotent_shift(mu: Distribution) -> IdempotentWitness | None:
     None when the support is not a subgroup coset or the weights are not
     exactly uniform.
     """
+    if mu.denominator != len(mu.indices):
+        return None
     support = mu.support()
     x = support[0]
-    expected = Fraction(1, len(support))
-    if any(p != expected for p in mu.probs.values()):
-        return None
     try:
         k = Subgroup(mu.group, [s - x for s in support])
     except ValueError:
@@ -322,11 +379,7 @@ def sample(mu: Distribution, count: int, seed: int) -> list[GroupElement]:
     support = mu.support()
     if len(support) == 1:
         return [support[0]] * count
-    cum = []
-    acc = Fraction(0)
-    for x in support:
-        acc += mu.probs[x]
-        cum.append(float(acc))
+    cum = [acc / mu.denominator for acc in itertools.accumulate(mu.numerators)]
     cum[-1] = 1.0
     return rng.choices(support, cum_weights=cum, k=count)
 
@@ -342,7 +395,8 @@ def empirical_distribution(
     group: FiniteAbelianGroup, draws: Iterable[GroupElement]
 ) -> Distribution:
     counts = accumulate((x, 1) for x in draws)
-    n = sum(counts.values())
-    if n == 0:
+    if not counts:
         raise ValueError("no draws")
-    return Distribution(group, {x: Fraction(c, n) for x, c in counts.items()})
+    if any(x.group != group for x in counts):
+        raise ValueError("distribution key outside the group")
+    return _law(group, ((group.index(x), c) for x, c in counts.items()))

@@ -77,7 +77,7 @@ def canonical_instance(
 
 @dataclass
 class JointDistribution:
-    """Exact joint law of the pair (L1, L2)."""
+    """Exact joint law of the pair (L1, L2); ``numerators`` holds it over ``denominator``."""
 
     group: FiniteAbelianGroup
     probs: dict[tuple[GroupElement, GroupElement], Fraction]
@@ -92,6 +92,8 @@ class JointDistribution:
         if any(w < 0 for w in numerators):
             raise ValueError("negative joint probability")
         self.probs = masses
+        self.numerators = dict(zip(masses, numerators))
+        self.denominator = d
 
     def prob(self, s: GroupElement, t: GroupElement) -> Fraction:
         return self.probs.get((s, t), Fraction(0))
@@ -105,31 +107,36 @@ class JointDistribution:
         return Distribution(self.group, accumulate((t, p) for (_s, t), p in pairs))
 
     def factorizes(self) -> bool:
-        """Exact test that the joint is the product of its marginals."""
-        m1 = self.marginal_first()
-        m2 = self.marginal_second()
-        for s in m1.support():
-            ps = m1.probs[s]
-            for t in m2.support():
-                if self.prob(s, t) != ps * m2.probs[t]:
-                    return False
-        return True
+        """Exact test that the joint is the product of its marginals: d * w(s, t)
+        is the product of the marginal sums of w, the masses over d."""
+        cells, d = self.numerators, self.denominator
+        first = accumulate((s, w) for (s, _t), w in cells.items())
+        second = accumulate((t, w) for (_s, t), w in cells.items())
+        return all(
+            d * cells.get((s, t), 0) == a * b
+            for s, a in first.items() for t, b in second.items()
+        )
 
 
 def joint_of_forms(inst: FormsInstance) -> JointDistribution:
-    """Enumerate the joint law of (L1, L2) over the support product; each
-    coefficient is applied once per support point.  A cell sums integer
-    masses over the laws' common denominators d1 and d2, then divides."""
-    a1, a2, b1, b2 = inst.alpha1, inst.alpha2, inst.beta1, inst.beta2
-    masses1, d1, weights1 = exact_masses(inst.mu1.probs)
-    masses2, d2, weights2 = exact_masses(inst.mu2.probs)
-    first = [(a1(x), b1(x), w) for x, w in zip(masses1, weights1)]
-    second = [(a2(x), b2(x), w) for x, w in zip(masses2, weights2)]
-    cells = accumulate(
-        ((u1 + u2, v1 + v2), w1 * w2) for u1, v1, w1 in first for u2, v2, w2 in second
+    """The joint law of (L1, L2) over the support product, each coefficient
+    applied once per support point: a cell, keyed s*n + t by element index,
+    sums numerator products over the product of the laws' denominators."""
+    group, n = inst.group, inst.group.order
+    first, second = (
+        [(group.index(a(x)), group.index(b(x)), w) for x, w in zip(mu.support(), mu.numerators)]
+        for mu, a, b in ((inst.mu1, inst.alpha1, inst.beta1), (inst.mu2, inst.alpha2, inst.beta2))
     )
-    d = d1 * d2
-    return JointDistribution(inst.group, {k: Fraction(w, d) for k, w in cells.items()})
+    rows = {i: group.translation_row(i) for i in {i for u, v, _ in first for i in (u, v)}}
+    cells = accumulate(
+        (row_u[u] * n + row_v[v], w1 * w2)
+        for row_u, row_v, w1 in [(rows[u], rows[v], w) for u, v, w in first]
+        for u, v, w2 in second
+    )
+    elements, d = group.elements, inst.mu1.denominator * inst.mu2.denominator
+    return JointDistribution(group, {
+        (elements[k // n], elements[k % n]): Fraction(w, d) for k, w in cells.items()
+    })
 
 
 def conditional_symmetry_witness(

@@ -12,11 +12,11 @@ with one kernel over element indices: a support pair is feasible when its
 set of occupied joint-cell keys contains the mirror of each (one rule,
 key + flip[t], turns the cell (s, t) into (s, -t)), and a feasible
 pair is symmetric when the joint weights of each cell and its mirror agree,
-summed from integer weight vectors on the grid and from the drawn Fraction
-masses in the random phase.  Every random-phase hit is confirmed by the
-exact predicate before it is recorded.  A finite-level scan over the cyclic
-p-power groups tags its outcome by the leading base-p digit of the
-multiplier.
+summed from integer weight vectors on the grid and from each drawn law's
+integer numerators in the random phase.  Every random-phase hit is
+confirmed by the exact predicate before it is recorded.  A finite-level
+scan over the cyclic p-power groups tags its outcome by the leading base-p
+digit of the multiplier.
 
 Scans are deterministic given the configuration seed: the grid phase is
 pure enumeration and the random phase is partitioned into fixed-size index
@@ -29,9 +29,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .distributions import Distribution, is_degenerate, is_idempotent_shift
 from .groups import (
@@ -244,17 +243,6 @@ def all_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
     return sorted(seen.values(), key=lambda s: (len(s), tuple(e.coords for e in s)))
 
 
-def _distribution(
-    group: FiniteAbelianGroup, support: Sequence[int], weights: Sequence[int]
-) -> Distribution:
-    """Mass w / sum(weights) on the element of each index in support."""
-    total = sum(weights)
-    elements = group.elements
-    return Distribution(
-        group, {elements[i]: Fraction(w, total) for i, w in zip(support, weights)}
-    )
-
-
 def random_distribution(
     group: FiniteAbelianGroup,
     rng: random.Random,
@@ -265,7 +253,7 @@ def random_distribution(
     on a random support, normalized."""
     size = rng.randint(1, min(support_cap, group.order))
     support = sorted(rng.sample(range(group.order), size))
-    return _distribution(group, support, [rng.randint(1, weight_cap) for _ in support])
+    return Distribution.from_weights(group, support, [rng.randint(1, weight_cap) for _ in support])
 
 
 #: Compatible matrices random_automorphism draws before giving up.
@@ -374,7 +362,7 @@ def grid_scan(
     cell and its mirror carry equal joint weight.  The grid phase
     enumerates integer weight vectors only on feasible ordered support
     pairs.  The random phase draws config.random_trials pairs in seeded
-    partitions, reads each as an index support with its Fraction masses,
+    partitions, reads each as its index support with its integer numerators,
     and confirms every hit with the exact predicate, raising RuntimeError on
     a disagreement.  More than MAX_HITS hits raise SearchSpaceError.
     Deterministic given (seed, caps).
@@ -440,7 +428,8 @@ def grid_scan(
 
     def balanced(comparisons, wa, wb):
         """Whether each cell and its mirror carry equal joint weight, with
-        wa and wb the weights (ints or Fractions) at the support positions."""
+        wa and wb integer weights at the support positions; both sides scale
+        alike, so the weights need not be normalized."""
         for cell, mirror in comparisons:
             lhs = sum(wa[i] * wb[j] for i, j in cell)
             rhs = sum(wa[i] * wb[j] for i, j in mirror)
@@ -476,8 +465,8 @@ def grid_scan(
                 for wb in candidates[sup_b]:
                     if balanced(comparisons, wa, wb):
                         record_hit(
-                            _distribution(group, sup_a, wa),
-                            _distribution(group, sup_b, wb),
+                            Distribution.from_weights(group, sup_a, wa),
+                            Distribution.from_weights(group, sup_b, wb),
                             "grid",
                         )
 
@@ -493,12 +482,9 @@ def grid_scan(
             mu2 = random_distribution(
                 group, rng, config.support_size_cap, config.denominator_cap
             )
-            comparisons = cell_comparisons(
-                [group.index(x) for x in mu1.probs],
-                [group.index(x) for x in mu2.probs],
-            )
+            comparisons = cell_comparisons(mu1.indices, mu2.indices)
             if comparisons is None or not balanced(
-                comparisons, list(mu1.probs.values()), list(mu2.probs.values())
+                comparisons, mu1.numerators, mu2.numerators
             ):
                 continue
             if not is_conditionally_symmetric(
@@ -623,7 +609,7 @@ def padic_scan(p: int, k: int, c: int, config: SearchConfig) -> PadicScanReport:
         )
     else:
         nonzero = [group.index(x) for x in kernel if not x.is_zero]
-        mu = _distribution(group, nonzero[:2], [1, 1])
+        mu = Distribution.from_weights(group, nonzero[:2], [1, 1])
         inst = checked_instance(group, alpha, mu, mu, kernel, "kernel")
         if not any(r.mu1 == inst.mu1 and r.mu2 == inst.mu2 for r in scan.hits):
             scan.hits.append(

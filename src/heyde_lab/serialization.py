@@ -98,10 +98,7 @@ def fraction_from_str(s: Any) -> Fraction:
 
 def distribution_to_json(mu: Distribution) -> dict:
     return {
-        "probs": {
-            element_key(x): fraction_str(p)
-            for x, p in sorted(mu.probs.items(), key=lambda kv: kv[0].coords)
-        }
+        "probs": {element_key(x): fraction_str(p) for x, p in mu.probs.items()}
     }
 
 

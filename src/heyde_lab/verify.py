@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .distributions import (
     Distribution,
@@ -122,11 +121,8 @@ def engineered_symmetric_instances(seed: int = 0) -> list[FormsInstance]:
             beta = random_automorphism(group, rng)
             kernel = obstruction_kernel(beta)
             if 2 < len(kernel) < group.order:
-                nonzero = [x for x in kernel if not x.is_zero]
-                mu = Distribution(
-                    group,
-                    {nonzero[0]: Fraction(1, 3), nonzero[1]: Fraction(2, 3)},
-                )
+                nonzero = [group.index(x) for x in kernel if not x.is_zero]
+                mu = Distribution.from_weights(group, nonzero[:2], [1, 2])
                 for law in (mu, haar_on(kernel)):
                     pool.append(checked_instance(group, beta, law, law, kernel, "kernel"))
                 break

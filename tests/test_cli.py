@@ -342,6 +342,23 @@ def test_search_output_pinned(tmp_path, monkeypatch):
     )
 
 
+def test_random_phase_search_output_pinned(tmp_path, monkeypatch):
+    """stdout of a search on Z15 with alpha = 7 whose 2000 random trials
+    find random-phase hits, hashed at a fixed timestamp."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "g.json", {"cyclic_orders": [15]})
+    write(tmp_path, "a.json", {"matrix": [[7]]})
+    code, output = run_cli(
+        ["search", "g.json", "a.json", "--support-cap", "3",
+         "--denominator-cap", "6", "--trials", "2000", "--seed", "1"]
+    )
+    assert code == 0
+    assert '"source": "random"' in output
+    assert hashlib.sha256(output.encode()).hexdigest() == (
+        "7b728509015e701f931ab4398580f891660b61f68a5a144a378ab8ae81a969ca"
+    )
+
+
 def test_search_hit_bound_is_usage_error(tmp_path, monkeypatch, capsys):
     """Every pair on Z2xZ2xZ2 is symmetric; the hit list stops at the bound."""
     monkeypatch.setattr(search, "MAX_HITS", 50)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from hypothesis import given
 
 from heyde_lab.distributions import (
     AmbiguousCharValueError,
+    accumulate,
     CharFunction,
     Distribution,
     InvalidCharFunctionError,
@@ -33,6 +36,7 @@ from heyde_lab.distributions import (
     uniform,
 )
 from heyde_lab.groups import (
+    Endomorphism,
     annihilator,
     character,
     make_group,
@@ -182,6 +186,145 @@ def test_char_values_bit_identical_to_character_loop(orders):
     for _ in range(4):
         mu = random_distribution(group, rng, 5, 9)
         assert char_values_list(mu) == _reference_char_values(mu)
+
+
+# ---------------------------------------------------------------------------
+# integer form: numerators on sorted indices, Fraction dict as a view
+# ---------------------------------------------------------------------------
+
+
+@given(st.data())
+def test_integer_and_fraction_constructors_agree(data):
+    """from_weights on (support, weights) and Distribution on the Fraction
+    dict of the same draw, given in reverse key order, build one law."""
+    group = make_group(data.draw(st.sampled_from(DIST_ORDERS + [[9, 27], [2, 6]])))
+    support = sorted(data.draw(st.lists(
+        st.integers(0, group.order - 1), min_size=1, max_size=6, unique=True
+    )))
+    weights = data.draw(st.lists(
+        st.integers(1, 12), min_size=len(support), max_size=len(support)
+    ))
+    total = sum(weights)
+    probs = {group.elements[i]: Fraction(w, total) for i, w in zip(support, weights)}
+    from_ints = Distribution.from_weights(group, support, weights)
+    from_dict = Distribution(group, dict(reversed(list(probs.items()))))
+    assert from_ints == from_dict
+    assert from_ints.indices == tuple(support)
+    g = math.gcd(*weights)
+    assert from_ints.numerators == tuple(w // g for w in weights)
+    assert from_ints.denominator == total // g
+    for mu in (from_ints, from_dict):
+        assert mu.probs == probs
+        assert list(mu.probs) == [group.elements[i] for i in support]
+        assert all(type(p) is Fraction for p in mu.probs.values())
+        assert mu.support() == tuple(group.elements[i] for i in support)
+        assert all(mu.prob(x) == probs.get(x, 0) for x in group.elements)
+    assert repr(from_ints) == repr(from_dict)
+
+
+def test_integer_form_is_canonical():
+    g7 = make_group([7])
+    half = Distribution.from_weights(g7, [1, 4], [2, 4])
+    assert half == Distribution.from_weights(g7, [1, 4], [1, 2])
+    assert (half.numerators, half.denominator) == ((1, 2), 3)
+    assert half != Distribution.from_weights(g7, [1, 5], [1, 2])
+    assert half != Distribution.from_weights(make_group([8]), [1, 4], [1, 2])
+    mixed = Distribution(g7, {elem(g7, 4): Fraction(1, 2), elem(g7, 0): "1/6",
+                              elem(g7, 2): Fraction(1, 3)})
+    assert (mixed.indices, mixed.numerators, mixed.denominator) == ((0, 2, 4), (1, 2, 3), 6)
+
+
+def test_distribution_is_unhashable():
+    mu = uniform(make_group([3]))
+    with pytest.raises(TypeError):
+        hash(mu)
+    with pytest.raises(TypeError):
+        {mu}
+
+
+def test_distribution_copies_and_pickles_after_its_view_is_built():
+    g6 = make_group([2, 3])
+    mu = Distribution.from_weights(g6, [1, 4], [1, 2])
+    assert mu.probs
+    for twin in (copy.deepcopy(mu), pickle.loads(pickle.dumps(mu))):
+        assert twin == mu and twin.probs == mu.probs
+
+
+def test_probs_view_is_read_only():
+    g5 = make_group([5])
+    mu = Distribution.from_weights(g5, [0, 3], [1, 1])
+    with pytest.raises(TypeError):
+        mu.probs[elem(g5, 1)] = Fraction(1)
+    assert mu.probs is mu.probs
+
+
+@pytest.mark.parametrize(
+    "indices, weights",
+    [
+        ([0, 1], [0, 1]),  # zero weight
+        ([0, 1], [2, -1]),  # negative weight
+        ([0, 1], [1, -1]),  # negative weight, weights summing to zero
+        ([2, 1], [1, 1]),  # unsorted
+        ([1, 1], [1, 1]),  # duplicate
+        ([0, 5], [1, 1]),  # past the last element
+        ([-1, 0], [1, 1]),  # negative index
+        ([0, 1], [1]),  # fewer weights than indices
+        ([], []),  # empty
+    ],
+)
+def test_integer_constructor_rejects(indices, weights):
+    with pytest.raises(ValueError):
+        Distribution.from_weights(make_group([5]), indices, weights)
+
+
+# ---------------------------------------------------------------------------
+# law operations against Fraction-dict references
+# ---------------------------------------------------------------------------
+
+#: (orders, non-diagonal endomorphism matrix) for the reference tests.
+REFERENCE_GROUPS = [
+    ([9, 27], [[3, 1], [6, 9]]),
+    ([2, 6], [[1, 1], [3, 5]]),
+    ([3] * 5, [[1, 1, 0, 0, 0], [0, 1, 2, 0, 0], [0, 0, 0, 0, 0],
+               [1, 0, 0, 2, 0], [0, 0, 0, 1, 1]]),
+]
+
+
+def _reference(group, pairs):
+    """Fraction dict of (element, mass) pairs summed by element."""
+    masses = accumulate(pairs)
+    assert all(x.group == group and p > 0 for x, p in masses.items())
+    return masses
+
+
+@pytest.mark.parametrize("orders, matrix", REFERENCE_GROUPS)
+def test_law_operations_match_fraction_references(orders, matrix):
+    group = make_group(orders)
+    alpha = Endomorphism(group, matrix)
+    assert any(a for i, row in enumerate(alpha.matrix) for j, a in enumerate(row) if i != j)
+    assert len(set(alpha.table)) < group.order  # images collide: masses are summed
+    rng = random.Random(group.order)
+    for _ in range(6):
+        mu = random_distribution(group, rng, 6, 9)
+        nu = random_distribution(group, rng, 5, 7)
+        x = rng.choice(group.elements)
+        m, n = mu.probs.items(), nu.probs.items()
+        convolved = _reference(group, ((a + b, p * q) for a, p in m for b, q in n))
+        assert convolve(mu, nu).probs == convolved
+        reflected = _reference(group, ((-a, p) for a, p in m))
+        assert reflect(mu).probs == reflected
+        assert shift(mu, x).probs == _reference(group, ((a + x, p) for a, p in m))
+        assert push_forward(mu, alpha).probs == _reference(group, ((alpha(a), p) for a, p in m))
+        assert symmetrize(mu).probs == _reference(
+            group, ((a + b, p * q) for a, p in m for b, q in reflected.items())
+        )
+        draws = [rng.choice(mu.support()) for _ in range(40)]
+        counted = _reference(group, ((y, Fraction(1, len(draws))) for y in draws))
+        assert empirical_distribution(group, draws).probs == counted
+        assert point_mass(group, x).probs == {x: Fraction(1)}
+    assert uniform(group).probs == {y: Fraction(1, group.order) for y in group.elements}
+    for sub in (subgroup_generated(group, [x]), subgroup_generated(group, group.elements[1:3])):
+        assert haar_on(sub).probs == {y: Fraction(1, len(sub)) for y in sub}
 
 
 # ---------------------------------------------------------------------------
