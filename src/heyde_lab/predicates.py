@@ -6,9 +6,9 @@ for the forms L1 = a1*x1 + a2*x2 and L2 = b1*x1 + b2*x2.  The canonical
 shape has a1 = a2 = b1 = I, so L1 = x1 + x2 and L2 = x1 + alpha*x2.
 
 Conditional symmetry of L2 given L1 and independence of two forms are
-decided exactly in probability space; the matching characteristic-function
-equations are evaluated at a tolerance and serve as corroborating
-predicates.  Any disagreement between an exact predicate and its
+decided exactly on the integer numerators of the joint law of (L1, L2);
+the characteristic-function equations, evaluated at a tolerance,
+corroborate them, and any disagreement between an exact predicate and its
 characteristic-function counterpart is a hard error upstream.
 :func:`obstruction_kernel` builds Ker(I + alpha) for every caller.
 """
@@ -17,10 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
+from typing import Any, Mapping
 
 from .distributions import (
     CHAR_TOL,
     Distribution,
+    _law,
     accumulate,
     char_values_list,
     exact_masses,
@@ -75,45 +79,63 @@ def canonical_instance(
     return FormsInstance(group, ident, ident, ident, alpha, mu1, mu2)
 
 
-@dataclass
 class JointDistribution:
-    """Exact joint law of the pair (L1, L2); ``numerators`` holds it over ``denominator``."""
+    """Exact joint law of (L1, L2): integer numerators ``cells`` keyed s*n + t by the indices
+    of (s, t), in first-seen order, over one ``denominator``; ``probs`` is a read-only view."""
 
-    group: FiniteAbelianGroup
-    probs: dict[tuple[GroupElement, GroupElement], Fraction]
-
-    def __post_init__(self):
-        elements = (x for key in self.probs for x in key)
-        if any(x.group is not self.group and x.group != self.group for x in elements):
+    def __new__(cls, group: FiniteAbelianGroup, probs: Mapping[tuple, Any]):
+        if any(x.group is not group and x.group != group for key in probs for x in key):
             raise ValueError("joint law key outside the group")
-        masses, d, numerators = exact_masses(self.probs)
-        if sum(numerators) != d:
-            raise ValueError(f"joint probabilities sum to {Fraction(sum(numerators), d)}")
-        if any(w < 0 for w in numerators):
+        masses, d, numerators = exact_masses(probs)
+        keys = (group.index(s) * group.order + group.index(t) for s, t in masses)
+        return cls.from_cells(group, dict(zip(keys, numerators)), d)
+
+    @classmethod
+    def from_cells(cls, group, cells: dict[int, int], denominator: int) -> JointDistribution:
+        """The law with mass w / denominator on each cell; the one check of every build."""
+        total = sum(cells.values())
+        if total != denominator:
+            raise ValueError(f"joint probabilities sum to {Fraction(total, denominator)}")
+        if any(w < 0 for w in cells.values()):
             raise ValueError("negative joint probability")
-        self.probs = masses
-        self.numerators = dict(zip(masses, numerators))
-        self.denominator = d
+        joint = super().__new__(cls)
+        joint.group, joint.cells, joint.denominator = group, cells, denominator
+        return joint
+
+    @cached_property
+    def probs(self) -> Mapping[tuple[GroupElement, GroupElement], Fraction]:
+        elements, n, d = self.group.elements, self.group.order, self.denominator
+        return MappingProxyType({
+            (elements[k // n], elements[k % n]): Fraction(w, d) for k, w in self.cells.items()
+        })
+
+    def __reduce__(self):  # the cached view is not picklable; rebuild from integers
+        return JointDistribution.from_cells, (self.group, self.cells, self.denominator)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, JointDistribution) and self.group == other.group and {
+            k: w * other.denominator for k, w in self.cells.items()
+        } == {k: w * self.denominator for k, w in other.cells.items()}
 
     def prob(self, s: GroupElement, t: GroupElement) -> Fraction:
-        return self.probs.get((s, t), Fraction(0))
+        n, index = self.group.order, self.group.index
+        w = self.cells.get(index(s) * n + index(t), 0) if s.group == t.group == self.group else 0
+        return Fraction(w, self.denominator)
 
     def marginal_first(self) -> Distribution:
-        pairs = self.probs.items()
-        return Distribution(self.group, accumulate((s, p) for (s, _t), p in pairs))
+        return _law(self.group, ((k // self.group.order, w) for k, w in self.cells.items()))
 
     def marginal_second(self) -> Distribution:
-        pairs = self.probs.items()
-        return Distribution(self.group, accumulate((t, p) for (_s, t), p in pairs))
+        return _law(self.group, ((k % self.group.order, w) for k, w in self.cells.items()))
 
     def factorizes(self) -> bool:
         """Exact test that the joint is the product of its marginals: d * w(s, t)
         is the product of the marginal sums of w, the masses over d."""
-        cells, d = self.numerators, self.denominator
-        first = accumulate((s, w) for (s, _t), w in cells.items())
-        second = accumulate((t, w) for (_s, t), w in cells.items())
+        cells, d, n = self.cells, self.denominator, self.group.order
+        first = accumulate((k // n, w) for k, w in cells.items())
+        second = accumulate((k % n, w) for k, w in cells.items())
         return all(
-            d * cells.get((s, t), 0) == a * b
+            d * cells.get(s * n + t, 0) == a * b
             for s, a in first.items() for t, b in second.items()
         )
 
@@ -133,20 +155,18 @@ def joint_of_forms(inst: FormsInstance) -> JointDistribution:
         for row_u, row_v, w1 in [(rows[u], rows[v], w) for u, v, w in first]
         for u, v, w2 in second
     )
-    elements, d = group.elements, inst.mu1.denominator * inst.mu2.denominator
-    return JointDistribution(group, {
-        (elements[k // n], elements[k % n]): Fraction(w, d) for k, w in cells.items()
-    })
+    return JointDistribution.from_cells(group, cells, inst.mu1.denominator * inst.mu2.denominator)
 
 
 def conditional_symmetry_witness(
     inst: FormsInstance,
 ) -> tuple[GroupElement, GroupElement] | None:
-    """A pair (s, t) with P(L1=s, L2=t) != P(L1=s, L2=-t), or None."""
-    joint = joint_of_forms(inst)
-    for (s, t), p in sorted(joint.probs.items(), key=lambda kv: (kv[0][0].coords, kv[0][1].coords)):
-        if joint.prob(s, -t) != p:
-            return (s, t)
+    """The first pair (s, t) by coordinates with P(L1=s, L2=t) != P(L1=s, L2=-t), or None."""
+    cells, elements, n = joint_of_forms(inst).cells, inst.group.elements, inst.group.order
+    for k in sorted(cells):
+        s, t = divmod(k, n)
+        if cells.get(s * n + inst.group.index(-elements[t]), 0) != cells[k]:
+            return (elements[s], elements[t])
     return None
 
 

@@ -292,12 +292,38 @@ def weight_vectors(size: int, denominator_cap: int) -> list[tuple[tuple[int, ...
     denominator_cap; each represents the distribution with masses w_i / d,
     and primitivity (gcd of the w_i equal to 1) makes the representation
     unique."""
+    if size == 1:
+        return [((1,), 1)]
     out = []
     for d in range(size, denominator_cap + 1):
         for comp in _compositions(d, size):
             if math.gcd(*comp) == 1:
                 out.append((comp, d))
     return out
+
+
+def weight_vector_count(size: int, denominator_cap: int) -> int:
+    """len(weight_vectors(size, denominator_cap)) without enumerating: the
+    C(D, m) compositions of totals up to D = denominator_cap into m parts,
+    Moebius-inverted over the gcd e of the parts, sum of mu(e) C(D // e, m)."""
+    if size == 1:
+        return 1
+    return sum(
+        _moebius(e) * math.comb(denominator_cap // e, size)
+        for e in range(1, denominator_cap // size + 1)
+    )
+
+
+def _moebius(e: int) -> int:
+    sign, p = 1, 2
+    while p * p <= e:
+        if e % p == 0:
+            e //= p
+            if e % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if e > 1 else sign
 
 
 def _hit_counts(hits: list[SymmetryReport]) -> dict:
@@ -373,16 +399,21 @@ def grid_scan(
     if n > MAX_SCAN_ORDER:
         raise SearchSpaceError(f"group order {n} exceeds scan bound {MAX_SCAN_ORDER}")
 
-    weights_by_size = {
-        m: [w for w, _ in weight_vectors(m, config.denominator_cap)]
-        for m in range(1, min(config.support_size_cap, n) + 1)
-    }
-    grid_count = sum(math.comb(n, m) * len(v) for m, v in weights_by_size.items())
+    sizes, cap = range(1, min(config.support_size_cap, n) + 1), config.denominator_cap
+    # a size-2 support alone carries the cap - 1 vectors (1, d - 1), so past
+    # this cap the grid exceeds the bound before its count is worth summing
+    if len(sizes) > 1 and cap - 1 > math.isqrt(MAX_CANDIDATES):
+        raise SearchSpaceError(
+            f"denominator cap {cap} exceeds {math.isqrt(MAX_CANDIDATES) + 1} "
+            f"for supports of size 2 or more"
+        )
+    grid_count = sum(math.comb(n, m) * weight_vector_count(m, cap) for m in sizes)
     if grid_count * grid_count + config.random_trials > MAX_CANDIDATES:
         raise SearchSpaceError(
             f"search space of {grid_count}^2 grid pairs + "
             f"{config.random_trials} trials exceeds {MAX_CANDIDATES} candidates"
         )
+    weights_by_size = {m: [w for w, _ in weight_vectors(m, cap)] for m in sizes}
 
     candidates: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for m, vecs in weights_by_size.items():

@@ -323,6 +323,10 @@ def test_search_overflow_is_usage_error(tmp_path):
     alpha = write(tmp_path, "a.json", {"matrix": [[4]]})
     code, _output = run_cli(["search", group, alpha, "--support-cap", "3"])
     assert code == 2
+    group = write(tmp_path, "g5.json", {"cyclic_orders": [5]})
+    alpha = write(tmp_path, "a2.json", {"matrix": [[2]]})
+    argv = ["--support-cap", "3", "--denominator-cap", "400", "--trials", "0"]
+    assert run_cli(["search", group, alpha, *argv]) == (2, "")
 
 
 def test_search_output_pinned(tmp_path, monkeypatch):

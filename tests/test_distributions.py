@@ -43,6 +43,7 @@ from heyde_lab.groups import (
     scaling_endomorphism,
     subgroup_generated,
 )
+from heyde_lab.predicates import canonical_instance, joint_of_forms
 from heyde_lab.search import random_distribution
 
 DIST_ORDERS = [[5], [7], [9], [3, 3], [2, 3], [4]]
@@ -242,12 +243,18 @@ def test_distribution_is_unhashable():
         {mu}
 
 
+def _joint(group, mu):
+    """The joint law of (x1 + x2, x1 + 2*x2) for iid x1, x2 with law mu."""
+    return joint_of_forms(canonical_instance(group, scaling_endomorphism(group, 2), mu, mu))
+
+
 def test_distribution_copies_and_pickles_after_its_view_is_built():
     g6 = make_group([2, 3])
     mu = Distribution.from_weights(g6, [1, 4], [1, 2])
-    assert mu.probs
-    for twin in (copy.deepcopy(mu), pickle.loads(pickle.dumps(mu))):
-        assert twin == mu and twin.probs == mu.probs
+    for law in (mu, _joint(g6, mu)):
+        assert law.probs
+        for twin in (copy.deepcopy(law), pickle.loads(pickle.dumps(law))):
+            assert twin == law and twin.probs == law.probs
 
 
 def test_probs_view_is_read_only():
@@ -256,6 +263,10 @@ def test_probs_view_is_read_only():
     with pytest.raises(TypeError):
         mu.probs[elem(g5, 1)] = Fraction(1)
     assert mu.probs is mu.probs
+    joint = _joint(g5, mu)
+    with pytest.raises(TypeError):
+        joint.probs[(elem(g5, 1), elem(g5, 1))] = Fraction(1)
+    assert joint.probs is joint.probs
 
 
 @pytest.mark.parametrize(

@@ -79,6 +79,11 @@ def test_joint_marginal_is_convolution():
     joint = joint_of_forms(inst)
     assert joint.marginal_first() == convolve(mu1, mu2)
     assert joint.marginal_second() == convolve(mu1, push_forward(mu2, alpha))
+    assert not joint.factorizes()
+    assert joint.prob(elem(g9, 1), elem(g9, 1)) == Fraction(2, 12)
+    g7 = make_group([7])
+    assert joint.prob(elem(g7, 1), elem(g7, 1)) == 0
+    assert "probs" not in vars(joint)
 
 
 def test_joint_brute_force_oracle():
@@ -132,21 +137,40 @@ def _reference_joint(inst):
     return out
 
 
+def _reference_witness(inst):
+    """The first (s, t) in coordinate order whose reference mass differs
+    from that of (s, -t), or None."""
+    joint = _reference_joint(inst)
+    for s, t in sorted(joint, key=lambda key: (key[0].coords, key[1].coords)):
+        if joint[s, t] != joint.get((s, -t), 0):
+            return (s, t)
+    return None
+
+
 @pytest.mark.parametrize("orders", [[9], [4, 2], [2, 6], [3, 3], [9, 27]])
 def test_joint_matches_fraction_product_reference(orders):
-    """Same keys, in the same order, with equal values, on canonical and
-    derived-forms instances with random laws."""
+    """Same keys, in the same order, with equal values, and the same
+    symmetry witness, on canonical and derived-forms instances with random
+    laws and on one symmetric iid instance of the reflected form."""
     group = make_group(orders)
     rng = random.Random(sum(orders))
+    instances = []
     for _ in range(15):
         mu1 = random_distribution(group, rng, 4, 7)
         mu2 = random_distribution(group, rng, 4, 7)
-        inst = canonical_instance(group, random_automorphism(group, rng), mu1, mu2)
+        instances.append(canonical_instance(group, random_automorphism(group, rng), mu1, mu2))
+    mu = random_distribution(group, rng, 4, 7)
+    instances.append(canonical_instance(group, neg_identity_endomorphism(group), mu, mu))
+    witnesses = []
+    for inst in instances:
         for case in (inst, derived_forms_instance(inst)):
             expected = _reference_joint(case)
             got = joint_of_forms(case).probs
             assert list(got) == list(expected)
             assert all(got[k] == v and type(got[k]) is Fraction for k, v in expected.items())
+            witnesses.append(conditional_symmetry_witness(case))
+            assert witnesses[-1] == _reference_witness(case)
+    assert None in witnesses and any(witnesses)
 
 
 LAWS = {"distribution": Distribution, "joint": JointDistribution}

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,6 +34,7 @@ from heyde_lab.search import (
     padic_scan,
     random_automorphism,
     random_distribution,
+    weight_vector_count,
     weight_vectors,
 )
 from heyde_lab.serialization import instance_to_json
@@ -53,6 +55,12 @@ def test_weight_vector_counts():
     assert len(weight_vectors(1, 6)) == 1
     assert len(weight_vectors(2, 6)) == 11
     assert len(weight_vectors(3, 6)) == 19
+
+
+def test_weight_vector_count_matches_enumeration():
+    for m in range(1, 5):
+        for d in range(1, 15):
+            assert weight_vector_count(m, d) == len(weight_vectors(m, d)), (m, d)
 
 
 def test_weight_vectors_are_primitive_distributions():
@@ -372,6 +380,27 @@ def test_scan_space_overflow_guard():
     g27 = make_group([27])
     with pytest.raises(SearchSpaceError):
         grid_scan(g27, scaling_endomorphism(g27, 4), SearchConfig())
+
+
+def test_scan_denominator_cap_is_bounded_before_enumerating():
+    """Singleton supports carry one vector, (1,), whatever the cap; with
+    larger supports in play a large cap is refused, not enumerated."""
+    g5 = make_group([5])
+    alpha = scaling_endomorphism(g5, 2)
+
+    def hits(support_cap, denominator_cap):
+        config = SearchConfig(support_cap, denominator_cap, random_trials=0)
+        start = time.perf_counter()
+        scan = grid_scan(g5, alpha, config)
+        assert time.perf_counter() - start < 1
+        return [(r.mu1, r.mu2, r.source) for r in scan.hits]
+
+    assert hits(1, 10**12) == hits(1, 1)
+    for cap in (400, 10**9):
+        start = time.perf_counter()
+        with pytest.raises(SearchSpaceError):
+            grid_scan(g5, alpha, SearchConfig(3, cap, random_trials=0))
+        assert time.perf_counter() - start < 1
 
 
 def test_scan_space_guard_counts_grid_before_enumerating():

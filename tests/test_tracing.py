@@ -3,6 +3,7 @@ wraps: a renamed or dropped binding fails here, not only in a traced
 benchmark run."""
 
 import importlib
+import io
 from pathlib import Path
 
 import heyde_lab.cli  # noqa: F401  (the tracer wraps names in every module)
@@ -30,3 +31,23 @@ def test_tracer_records_draws_and_law_builds(monkeypatch):
     assert originals == (
         search.random_distribution, vars(distributions.Distribution)["__post_init__"]
     )
+
+
+def test_benchmark_workloads_call_every_covered_name(monkeypatch, tmp_path):
+    """Seed 1 of each benchmark workload, one seed per verify suite, calls
+    every name the tracer's COVERAGE lists for it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setattr(workloads, "VERIFY_SEEDS", 1)
+    monkeypatch.chdir(tmp_path)  # operations name their inputs relative to it
+    for workload in workloads.WORKLOADS:
+        ops = workloads.generate(workload, 1, tmp_path)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            codes = [heyde_lab.cli.run(list(op.argv), out=io.StringIO()) for op in ops]
+        finally:
+            tracer.uninstall()
+        assert codes == [0] * len(ops)
+        assert tracer.missing(workload) == []
