@@ -14,10 +14,10 @@ digits.  Every element operation and endomorphism image is reduced modulo
 the cyclic orders by one reducer, ``FiniteAbelianGroup._reduce``.  An
 endomorphism's table of image indices and a character's row of values are
 digit sums, and ``is_auto``, the kernel, image and inverse are read off
-the table.  A subgroup is held as its element set: a generated one is
-closed coset by coset from its generators, and one given by its elements
-is validated by closing generators picked from inside it.  Annihilators
-are found by enumeration.
+the table.  A subgroup is held as its element set.  ``Subgroup(parent,
+elements)`` validates elements from outside the algebra; ``Subgroup._closed``
+trusts a closure, kernel, image or annihilator, which algebra built closed.
+An annihilator keeps the y of pairing exponent 0 against every x in K.
 """
 
 from __future__ import annotations
@@ -252,19 +252,19 @@ def pairing_is_trivial(x: GroupElement, y: GroupElement) -> bool:
 
 
 def _closure(
-    zero: GroupElement,
+    start: Sequence[GroupElement],
     generators: Iterable[GroupElement],
     inside: frozenset[GroupElement] | None = None,
 ) -> list[GroupElement]:
-    """Elements of the subgroup generated, starting with zero.
+    """Elements of the subgroup <start, generators>; ``start``, a subgroup, first.
 
     Adjoining g to a subgroup C adds the cosets C + m*g for m = 1, 2, ...
     up to the first multiple already in C, so each element is produced by
     exactly one addition.  With ``inside``, the first sum of two elements
     that leaves it raises ValueError.
     """
-    closure = [zero]
-    members = {zero}
+    closure = list(start)
+    members = set(start)
     for g in generators:
         if g in members:
             continue
@@ -283,13 +283,17 @@ def _closure(
     return closure
 
 
+@dataclass(unsafe_hash=True)
 class Subgroup:
     """Subgroup given by its full (sorted) element set.
 
-    The element set is validated by closing it greedily: each element not
-    yet produced becomes a generator, and the closure must stay inside the
-    set.
+    ``Subgroup(parent, elements)`` validates the set by closing it greedily:
+    each element not yet produced becomes a generator, and the closure must
+    stay inside the set.  ``Subgroup._closed`` trusts a set built closed.
     """
+
+    parent: FiniteAbelianGroup
+    elements: tuple[GroupElement, ...]
 
     def __init__(self, parent: FiniteAbelianGroup, elements: Iterable[GroupElement]):
         elems = sorted(set(elements), key=lambda e: e.coords)
@@ -301,10 +305,19 @@ class Subgroup:
         elem_set = frozenset(elems)
         if parent.zero not in elem_set:
             raise ValueError("subgroup must contain the identity")
-        _closure(parent.zero, elems, inside=elem_set)
+        _closure([parent.zero], elems, inside=elem_set)
         self.parent = parent
         self.elements = tuple(elems)
         self._set = elem_set
+
+    @classmethod
+    def _closed(cls, parent, elements) -> Subgroup:
+        """Subgroup of distinct elements that algebra built closed; unchecked."""
+        sub = object.__new__(cls)
+        sub.parent = parent
+        sub.elements = tuple(sorted(elements, key=lambda e: e.coords))
+        sub._set = frozenset(sub.elements)
+        return sub
 
     def __contains__(self, x: GroupElement) -> bool:
         return x in self._set
@@ -319,16 +332,6 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return len(self.elements) == 1
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Subgroup)
-            and self.parent == other.parent
-            and self.elements == other.elements
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.parent, self.elements))
-
     def __repr__(self) -> str:
         return "{" + ", ".join(repr(e) for e in self.elements) + "}"
 
@@ -341,27 +344,22 @@ def subgroup_generated(
     for g in gens:
         if g.group != group:
             raise ValueError("generator outside the group")
-    return Subgroup(group, _closure(group.zero, gens))
-
-
-def trivial_subgroup(group: FiniteAbelianGroup) -> Subgroup:
-    return Subgroup(group, [group.zero])
+    return Subgroup._closed(group, _closure([group.zero], gens))
 
 
 def annihilator(sub: Subgroup) -> Subgroup:
     """Characters that are 1 on the whole subgroup (living in the same group
-    by self-duality)."""
+    by self-duality), decided by the exact congruence (x, y) = 0."""
     group = sub.parent
-    ann = [
-        y for y in group.elements if all(pairing_is_trivial(x, y) for x in sub)
-    ]
-    return Subgroup(group, ann)
+    ann = group.elements
+    for x in sub:
+        ann = [y for y in ann if group.pairing_exponent(x, y) == 0]
+    return Subgroup._closed(group, ann)
 
 
 def order2_subgroup(group: FiniteAbelianGroup) -> Subgroup:
-    """Subgroup generated by all elements of order dividing 2."""
-    torsion = [x for x in group.elements if (2 * x).is_zero]
-    return subgroup_generated(group, torsion)
+    """The elements of order dividing 2: the kernel of x -> 2x."""
+    return scaling_endomorphism(group, 2).kernel()
 
 
 class Endomorphism:
@@ -491,11 +489,11 @@ class Endomorphism:
         """{x : alpha x = 0}."""
         elements = self.group.elements
         members = [elements[i] for i, t in enumerate(self.table) if t == 0]
-        return Subgroup(self.group, members)
+        return Subgroup._closed(self.group, members)
 
     def image(self) -> Subgroup:
         elements = self.group.elements
-        return Subgroup(self.group, [elements[t] for t in set(self.table)])
+        return Subgroup._closed(self.group, [elements[t] for t in set(self.table)])
 
     def inverse(self) -> Endomorphism:
         """Inverse automorphism: column j is the preimage of the j-th basis

@@ -37,11 +37,11 @@ from .groups import (
     Endomorphism,
     FiniteAbelianGroup,
     Subgroup,
+    _closure,
     make_group,
     order2_subgroup,
     scaling_endomorphism,
     subgroup_generated,
-    trivial_subgroup,
 )
 from .predicates import (
     FormsInstance,
@@ -224,20 +224,21 @@ def order2_construction(
 
 
 def all_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
-    """Every subgroup, grown by repeatedly adjoining one element."""
-    trivial = trivial_subgroup(group)
-    seen: dict[frozenset, Subgroup] = {frozenset(trivial.elements): trivial}
+    """Every subgroup, grown by adjoining one element per coset at a time."""
+    trivial = subgroup_generated(group, [])
+    seen = {trivial.elements: trivial}
     frontier = [trivial]
     while frontier:
         new = []
         for sub in frontier:
+            covered = set(sub)
             for x in group.elements:
-                if x in sub:
+                if x in covered:
                     continue
-                grown = subgroup_generated(group, [*sub.elements, x])
-                key = frozenset(grown.elements)
-                if key not in seen:
-                    seen[key] = grown
+                covered.update(x + k for k in sub)
+                grown = Subgroup._closed(group, _closure(sub.elements, [x]))
+                if grown.elements not in seen:
+                    seen[grown.elements] = grown
                     new.append(grown)
         frontier = new
     return sorted(seen.values(), key=lambda s: (len(s), tuple(e.coords for e in s)))

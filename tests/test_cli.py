@@ -329,6 +329,17 @@ def test_search_overflow_is_usage_error(tmp_path):
     assert run_cli(["search", group, alpha, *argv]) == (2, "")
 
 
+def test_search_refuses_large_subgroup_lattice(tmp_path, capsys):
+    """Z2^6 at caps 1/1: the grid passes its guard, and the 2,825 subgroups
+    of the group add enough uniform-coset candidates that the second guard
+    refuses the scan before any pair is compared."""
+    group = write(tmp_path, "g.json", {"cyclic_orders": [2] * 6})
+    alpha = write(tmp_path, "a.json", {"matrix": [[int(i == j) for j in range(6)] for i in range(6)]})
+    argv = ["--support-cap", "1", "--denominator-cap", "1", "--trials", "0"]
+    assert run_cli(["search", group, alpha, *argv]) == (2, "")
+    assert "search space of 26387^2 pairs" in capsys.readouterr().err
+
+
 def test_search_output_pinned(tmp_path, monkeypatch):
     """stdout of a small search, hashed at a fixed timestamp; the inputs
     are named relative to the working directory, as the manifest embeds
