@@ -69,7 +69,7 @@ class Distribution:
         if any(x.group is not group and x.group != group for x in probs):
             raise ValueError("distribution key outside the group")
         masses, d, numerators = exact_masses(probs)
-        pairs = sorted(zip(map(group.index, masses), numerators))
+        pairs = sorted((x.index, w) for x, w in zip(masses, numerators))
         self._build(group, [i for i, _ in pairs], [w for _, w in pairs], d)
 
     @classmethod
@@ -197,7 +197,7 @@ def _law(group: FiniteAbelianGroup, pairs: Iterable[tuple[int, int]]) -> Distrib
 def point_mass(group: FiniteAbelianGroup, x: GroupElement) -> Distribution:
     if x.group != group:
         raise ValueError("point outside the group")
-    return Distribution.from_weights(group, [group.index(x)], [1])
+    return Distribution.from_weights(group, [x.index], [1])
 
 
 def uniform(group: FiniteAbelianGroup) -> Distribution:
@@ -206,7 +206,7 @@ def uniform(group: FiniteAbelianGroup) -> Distribution:
 
 def haar_on(sub: Subgroup) -> Distribution:
     """Uniform distribution on a subgroup."""
-    return Distribution.from_weights(sub.parent, [sub.parent.index(x) for x in sub], [1] * len(sub))
+    return Distribution.from_weights(sub.parent, [x.index for x in sub], [1] * len(sub))
 
 
 def convolve(mu: Distribution, nu: Distribution) -> Distribution:
@@ -226,7 +226,7 @@ def reflect(mu: Distribution) -> Distribution:
 def shift(mu: Distribution, x: GroupElement) -> Distribution:
     if x.group != mu.group:
         raise ValueError("shift outside the group")
-    row = mu.group.translation_row(mu.group.index(x))
+    row = mu.group.translation_row(x.index)
     return _law(mu.group, ((row[i], w) for i, w in zip(mu.indices, mu.numerators)))
 
 
@@ -399,4 +399,4 @@ def empirical_distribution(
         raise ValueError("no draws")
     if any(x.group != group for x in counts):
         raise ValueError("distribution key outside the group")
-    return _law(group, ((group.index(x), c) for x, c in counts.items()))
+    return _law(group, ((x.index, c) for x, c in counts.items()))

@@ -10,8 +10,8 @@ Everything here is desk scale.  The group defines element indices:
 coordinate m of element i is (i // s_m) % n_m for fixed strides s_m, and
 loops over all elements or pairs, here and in the modules above, read
 ``negation_table()`` and ``translation_row(i)``, computed from those
-digits.  Every element operation and endomorphism image is reduced modulo
-the cyclic orders by one reducer, ``FiniteAbelianGroup._reduce``.  An
+digits.  ``group.elements[i]`` is the one instance of element i, with i as its
+``index``; ``element()`` and every operation return it via ``_reduce``.  An
 endomorphism's table of image indices and a character's row of values are
 digit sums, and ``is_auto``, the kernel, image and inverse are read off
 the table.  A subgroup is held as its element set.  ``Subgroup(parent,
@@ -106,28 +106,30 @@ class FiniteAbelianGroup:
 
     def _reduce(self, coords: Iterable[int]) -> GroupElement:
         """The element whose coordinates are coords modulo the orders."""
-        return GroupElement(self, tuple(map(operator.mod, coords, self.cyclic_orders)))
+        orders, strides = self.cyclic_orders, self._strides
+        return self.elements[sum(map(operator.mul, map(operator.mod, coords, orders), strides))]
 
     @property
     def zero(self) -> GroupElement:
-        return GroupElement(self, (0,) * self.rank)
+        return self.elements[0]
 
     @property
     def elements(self) -> tuple[GroupElement, ...]:
-        """All elements in lexicographic coordinate order."""
+        """All elements in lexicographic coordinate order; the only instances."""
         if self._elements is None:
-            self._elements = tuple(
-                GroupElement(self, coords)
-                for coords in _cartesian(*(range(n) for n in self.cyclic_orders))
-            )
+            ranges = (range(n) for n in self.cyclic_orders)
+            self._elements = tuple(GroupElement(self, c, i) for i, c in enumerate(_cartesian(*ranges)))
         return self._elements
 
     def __iter__(self) -> Iterator[GroupElement]:
         return iter(self.elements)
 
+    def __reduce__(self):  # the element table is rebuilt on first use
+        return FiniteAbelianGroup, (self.cyclic_orders,)
+
     def index(self, x: GroupElement) -> int:
         """Lexicographic rank of an element."""
-        return sum(c * s for c, s in zip(x.coords, self._strides))
+        return x.index
 
     def negation_table(self) -> list[int]:
         """Index of -x_i for each element index i."""
@@ -170,20 +172,25 @@ class FiniteAbelianGroup:
         )))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class GroupElement:
-    """Residue vector in a fixed group; also indexes a character."""
+    """Residue vector with its rank ``index`` in ``group.elements``, the one place
+    it is built; also a character index.  Equal to its twin in an equal group."""
 
     group: FiniteAbelianGroup
     coords: tuple[int, ...]
+    index: int
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupElement) and self.coords == other.coords and (
-            self.group is other.group or self.group == other.group
+        return self is other or (
+            isinstance(other, GroupElement) and self.index == other.index and self.group == other.group
         )
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return self.index
+
+    def __reduce__(self):  # the copy is the canonical instance in the copied group
+        return FiniteAbelianGroup.element, (self.group, self.coords)
 
     def _check(self, other: GroupElement) -> None:
         if self.group is not other.group and self.group != other.group:
@@ -206,13 +213,9 @@ class GroupElement:
             return NotImplemented
         return self.group._reduce([n * a for a in self.coords])
 
-    def __lt__(self, other: GroupElement) -> bool:
-        self._check(other)
-        return self.coords < other.coords
-
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return self.index == 0
 
     def __repr__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
@@ -296,7 +299,7 @@ class Subgroup:
     elements: tuple[GroupElement, ...]
 
     def __init__(self, parent: FiniteAbelianGroup, elements: Iterable[GroupElement]):
-        elems = sorted(set(elements), key=lambda e: e.coords)
+        elems = sorted(set(elements), key=lambda e: e.index)
         if not elems:
             raise ValueError("a subgroup contains at least the identity")
         for e in elems:
@@ -315,7 +318,7 @@ class Subgroup:
         """Subgroup of distinct elements that algebra built closed; unchecked."""
         sub = object.__new__(cls)
         sub.parent = parent
-        sub.elements = tuple(sorted(elements, key=lambda e: e.coords))
+        sub.elements = tuple(sorted(elements, key=lambda e: e.index))
         sub._set = frozenset(sub.elements)
         return sub
 

@@ -87,7 +87,7 @@ class JointDistribution:
         if any(x.group is not group and x.group != group for key in probs for x in key):
             raise ValueError("joint law key outside the group")
         masses, d, numerators = exact_masses(probs)
-        keys = (group.index(s) * group.order + group.index(t) for s, t in masses)
+        keys = (s.index * group.order + t.index for s, t in masses)
         return cls.from_cells(group, dict(zip(keys, numerators)), d)
 
     @classmethod
@@ -118,8 +118,8 @@ class JointDistribution:
         } == {k: w * self.denominator for k, w in other.cells.items()}
 
     def prob(self, s: GroupElement, t: GroupElement) -> Fraction:
-        n, index = self.group.order, self.group.index
-        w = self.cells.get(index(s) * n + index(t), 0) if s.group == t.group == self.group else 0
+        n = self.group.order
+        w = self.cells.get(s.index * n + t.index, 0) if s.group == t.group == self.group else 0
         return Fraction(w, self.denominator)
 
     def marginal_first(self) -> Distribution:
@@ -146,7 +146,7 @@ def joint_of_forms(inst: FormsInstance) -> JointDistribution:
     sums numerator products over the product of the laws' denominators."""
     group, n = inst.group, inst.group.order
     first, second = (
-        [(group.index(a(x)), group.index(b(x)), w) for x, w in zip(mu.support(), mu.numerators)]
+        [(a(x).index, b(x).index, w) for x, w in zip(mu.support(), mu.numerators)]
         for mu, a, b in ((inst.mu1, inst.alpha1, inst.beta1), (inst.mu2, inst.alpha2, inst.beta2))
     )
     rows = {i: group.translation_row(i) for i in {i for u, v, _ in first for i in (u, v)}}
@@ -165,7 +165,7 @@ def conditional_symmetry_witness(
     cells, elements, n = joint_of_forms(inst).cells, inst.group.elements, inst.group.order
     for k in sorted(cells):
         s, t = divmod(k, n)
-        if cells.get(s * n + inst.group.index(-elements[t]), 0) != cells[k]:
+        if cells.get(s * n + (-elements[t]).index, 0) != cells[k]:
             return (elements[s], elements[t])
     return None
 

@@ -30,7 +30,6 @@ import math
 import random
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Iterator
 
 from .distributions import Distribution, is_degenerate, is_idempotent_shift
 from .groups import (
@@ -279,25 +278,18 @@ def random_automorphism(group: FiniteAbelianGroup, rng: random.Random) -> Endomo
     raise RuntimeError(f"no automorphism found in {AUTOMORPHISM_TRIES} tries")
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def weight_vectors(size: int, denominator_cap: int) -> list[tuple[tuple[int, ...], int]]:
     """Primitive positive integer weight vectors (w, d) with sum(w) = d <=
     denominator_cap; each represents the distribution with masses w_i / d,
     and primitivity (gcd of the w_i equal to 1) makes the representation
-    unique."""
+    unique.  The compositions of d are the gaps between size - 1 cut points
+    in 1..d-1."""
     if size == 1:
         return [((1,), 1)]
     out = []
     for d in range(size, denominator_cap + 1):
-        for comp in _compositions(d, size):
+        for cuts in combinations(range(1, d), size - 1):
+            comp = tuple(b - a for a, b in zip((0,) + cuts, cuts + (d,)))
             if math.gcd(*comp) == 1:
                 out.append((comp, d))
     return out
@@ -365,7 +357,7 @@ def _idempotent_candidates(
         size = len(sub)
         if size <= covered_by_grid:
             continue
-        rows = [group.translation_row(group.index(e)) for e in sub]
+        rows = [group.translation_row(e.index) for e in sub]
         seen = set()
         for x in range(group.order):
             coset = tuple(sorted(row[x] for row in rows))
@@ -640,7 +632,7 @@ def padic_scan(p: int, k: int, c: int, config: SearchConfig) -> PadicScanReport:
             "idempotent shifts"
         )
     else:
-        nonzero = [group.index(x) for x in kernel if not x.is_zero]
+        nonzero = [x.index for x in kernel if not x.is_zero]
         mu = Distribution.from_weights(group, nonzero[:2], [1, 1])
         inst = checked_instance(group, alpha, mu, mu, kernel, "kernel")
         if not any(r.mu1 == inst.mu1 and r.mu2 == inst.mu2 for r in scan.hits):

@@ -10,12 +10,13 @@ Formats:
                    "beta1": ..., "beta2": ..., "mu1": ..., "mu2": ...}
 
 Cyclic orders and matrix entries are JSON integers (not booleans, floats
-or strings).  Keys of a distribution are comma-joined coordinates; values
-are exact fraction strings.  Any malformed input raises SchemaError.
+or strings).  Distribution keys are comma-joined coordinates ``str(c)``,
+0 <= c < n_j; values are exact fraction strings.  Bad input raises SchemaError.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -78,11 +79,13 @@ def element_key(x: GroupElement) -> str:
 
 
 def element_from_key(group: FiniteAbelianGroup, key: str) -> GroupElement:
-    try:
-        coords = [int(part) for part in str(key).split(",")]
-        return group.element(coords)
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"bad element key {key!r}: {exc}") from exc
+    parts = str(key).split(",")
+    if len(parts) != group.rank or not all(
+        re.fullmatch("0|[1-9][0-9]*", part) and len(part) <= len(str(n)) and int(part) < n
+        for part, n in zip(parts, group.cyclic_orders)
+    ):
+        raise SchemaError(f"bad element key {key!r}: expected {group.rank} str(c), 0 <= c < n_j")
+    return group.element(map(int, parts))
 
 
 def fraction_str(f: Fraction) -> str:

@@ -121,7 +121,7 @@ def engineered_symmetric_instances(seed: int = 0) -> list[FormsInstance]:
             beta = random_automorphism(group, rng)
             kernel = obstruction_kernel(beta)
             if 2 < len(kernel) < group.order:
-                nonzero = [group.index(x) for x in kernel if not x.is_zero]
+                nonzero = [x.index for x in kernel if not x.is_zero]
                 mu = Distribution.from_weights(group, nonzero[:2], [1, 2])
                 for law in (mu, haar_on(kernel)):
                     pool.append(checked_instance(group, beta, law, law, kernel, "kernel"))

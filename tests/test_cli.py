@@ -111,6 +111,19 @@ def test_distribution_schema_errors():
         distribution_from_json(group, {"probs": {"x": "1/1"}})
 
 
+@pytest.mark.parametrize("key", ["10", "1_0", "-1", " 3", "\u0663", "03", "+3", "3,0", ""])
+def test_distribution_rejects_noncanonical_keys(key):
+    """A key part must be str(c) for some 0 <= c < n; "10" on Z9 is not (1)."""
+    with pytest.raises(SchemaError):
+        distribution_from_json(make_group([9]), {"probs": {key: "1/2", "2": "1/2"}})
+
+
+def test_check_noncanonical_key_exits_2(tmp_path):
+    bad = dict(KERNEL_INSTANCE, mu1={"probs": {"10": "1/2", "2": "1/2"}})
+    code, output = run_cli(["check", write(tmp_path, "bad.json", bad)])
+    assert code == 2 and output == ""
+
+
 def test_instance_round_trip_canonical_and_general():
     group = make_group([5])
     canon = canonical_instance(

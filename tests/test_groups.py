@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import hypothesis.strategies as st
@@ -101,6 +103,28 @@ def test_element_equality_and_hash():
     assert elem(make_group([3]), 1) != elem(make_group([5]), 1)
     assert a != (1,) and (1,) != a
     assert a != elem(a.group, 2)
+
+
+@pytest.mark.parametrize("orders", [[4, 2], [2, 6], [9, 3], [3, 3, 3]])
+def test_every_element_result_is_the_table_instance(orders):
+    """element(), zero, +, binary and unary -, n*x, an endomorphism, a pickle
+    round trip and deepcopy each return group.elements[r.index], and that
+    index is the stride rank of r's coordinates."""
+    group = make_group(orders)
+    strides = [math.prod(orders[m + 1 :]) for m in range(len(orders))]
+    alpha = make_endomorphism(group, [
+        [1 if i == j else ni // math.gcd(ni, nj) for j, nj in enumerate(orders)]
+        for i, ni in enumerate(orders)
+    ])
+    results = [group.zero]
+    for x in group.elements:
+        twins = [pickle.loads(pickle.dumps(x)), copy.deepcopy(x)]
+        assert twins == [x, x] and len(pickle.dumps(x)) < 200
+        results += twins + [elem(group, *(c - 2 * n for c, n in zip(x.coords, orders)))]
+        results += [-x, 3 * x, alpha(x)] + [x + y for y in group] + [x - y for y in group]
+    for r in results:
+        assert r is r.group.elements[r.index]
+        assert r.index == sum(c * s for c, s in zip(r.coords, strides))
 
 
 # ---------------------------------------------------------------------------
