@@ -14,9 +14,10 @@ and hence vanishes on a finite group.
 On a finite group every function is continuous and the neighbourhood
 bookkeeping of the continuous setting collapses: all identities are checked
 globally.  Each chain's increment ladder is defined once, as endomorphisms
-of the adjoint; the chain functions apply it to group elements, and the
-residual scans and quadratic checks run over value lists in element order
-with the group's translation rows.
+of the adjoint.  Every difference runs on value lists in element order:
+the chain functions and the residual scans climb a ladder through its
+endomorphisms' index tables and the group's translation rows, and wrap
+a result as a GroupFunction only at the boundary.
 """
 
 from __future__ import annotations
@@ -75,6 +76,11 @@ def _values(f: GroupFunction) -> list[float]:
     return [f.values[y] for y in f.group.elements]
 
 
+def _function(group: FiniteAbelianGroup, values: Sequence[float]) -> GroupFunction:
+    """The function with the given values in element order."""
+    return GroupFunction(group, dict(zip(group.elements, values)))
+
+
 def zero_function(group: FiniteAbelianGroup) -> GroupFunction:
     return GroupFunction(group, {y: 0.0 for y in group.elements})
 
@@ -83,15 +89,7 @@ def finite_difference(f: GroupFunction, h: GroupElement) -> GroupFunction:
     """(D_h f)(y) = f(y + h) - f(y)."""
     if h.group != f.group:
         raise ValueError("increment outside the function's group")
-    return GroupFunction(
-        f.group, {y: f.values[y + h] - f.values[y] for y in f.group.elements}
-    )
-
-
-def iterated_difference(f: GroupFunction, increments: Sequence[GroupElement]) -> GroupFunction:
-    for h in increments:
-        f = finite_difference(f, h)
-    return f
+    return _function(f.group, _difference(_values(f), f.group.translation_row(h.index)))
 
 
 def neg_log_char(mu: Distribution) -> GroupFunction:
@@ -148,9 +146,19 @@ def _m_forms_ladder(alpha_adj: Endomorphism) -> tuple[tuple, tuple]:
 
 
 def _climb(
-    f: GroupFunction, ladder: tuple, increments: Sequence[GroupElement]
-) -> GroupFunction:
-    return iterated_difference(f, [endo(increments[k]) for endo, k in ladder])
+    group: FiniteAbelianGroup, values: list[float], ladder: tuple, increments: Sequence[int]
+) -> list[float]:
+    """f's values after the ladder's differences, given the increments' indices."""
+    for endo, k in ladder:
+        values = _difference(values, group.translation_row(endo.table[increments[k]]))
+    return values
+
+
+def _chain(f: GroupFunction, ladder: tuple, increments: Sequence[GroupElement]) -> GroupFunction:
+    """The ladder's iterated difference of f along the increments."""
+    if any(h.group != f.group for h in increments):
+        raise ValueError("increment outside the function's group")
+    return _function(f.group, _climb(f.group, _values(f), ladder, [h.index for h in increments]))
 
 
 def heyde_difference_chain(
@@ -175,7 +183,7 @@ def heyde_difference_chain(
     """
     ladder1, ladder2 = _heyde_ladder(alpha_adj)
     increments = (k1, k2, k3)
-    return _climb(phi1, ladder1, increments), _climb(phi2, ladder2, increments)
+    return _chain(phi1, ladder1, increments), _chain(phi2, ladder2, increments)
 
 
 @dataclass
@@ -194,13 +202,13 @@ def quadratic_candidate(
     """The diagonal parts P(y) = psi1((I+a~)y) + psi2(2 a~ y) and
     Q(y) = psi1(2y) + psi2((I+a~)y) of the independence equation."""
     group = psi1.group
-    p_vals = {}
-    q_vals = {}
-    for y in group.elements:
-        ay = alpha_adj(y)
-        p_vals[y] = psi1.values[y + ay] + psi2.values[ay + ay]
-        q_vals[y] = psi1.values[y + y] + psi2.values[y + ay]
-    return GroupFunction(group, p_vals), GroupFunction(group, q_vals)
+    v1, v2 = _values(psi1), _values(psi2)
+    ident = identity_endomorphism(group)
+    i_plus, two_a, two = (ident + alpha_adj).table, (2 * alpha_adj).table, (2 * ident).table
+    return (
+        _function(group, [v1[i] + v2[j] for i, j in zip(i_plus, two_a)]),
+        _function(group, [v1[i] + v2[j] for i, j in zip(two, i_plus)]),
+    )
 
 
 def m_forms_difference_chain(
@@ -228,7 +236,7 @@ def m_forms_difference_chain(
     ladder_p, ladder_q = _m_forms_ladder(alpha_adj)
     increments = (h1, h2, h, k)
     return MFormsChainResult(
-        p, q, _climb(p, ladder_p, increments), _climb(q, ladder_q, increments)
+        p, q, _chain(p, ladder_p, increments), _chain(q, ladder_q, increments)
     )
 
 
@@ -322,13 +330,10 @@ def _max_residual(
         rng = random.Random(RANDOM_SEED)
         for _ in range(RANDOM_TRIPLES):
             drawn = [rng.choice(range(n)) for _ in range(draws)]
-            residuals = []
-            for values, ladder in chains:
-                for endo, k in ladder:
-                    row = group.translation_row(endo.table[drawn[k]])
-                    values = _difference(values, row)
-                residuals.append(max(map(abs, values)))
-            r = max(residuals)
+            r = max(
+                max(map(abs, _climb(group, values, ladder, drawn)))
+                for values, ladder in chains
+            )
             if r > worst[0]:
                 worst = (r, tuple(drawn[:3]))
     return worst[0], tuple(group.elements[i] for i in worst[1])

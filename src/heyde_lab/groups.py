@@ -255,44 +255,40 @@ def pairing_is_trivial(x: GroupElement, y: GroupElement) -> bool:
 
 
 def _closure(
-    start: Sequence[GroupElement],
-    generators: Iterable[GroupElement],
-    inside: frozenset[GroupElement] | None = None,
-) -> list[GroupElement]:
+    start: Sequence[GroupElement], generators: Iterable[GroupElement]
+) -> Iterator[GroupElement]:
     """Elements of the subgroup <start, generators>; ``start``, a subgroup, first.
 
-    Adjoining g to a subgroup C adds the cosets C + m*g for m = 1, 2, ...
+    Adjoining g to a subgroup C appends the cosets C + m*g for m = 1, 2, ...
     up to the first multiple already in C, so each element is produced by
-    exactly one addition.  With ``inside``, the first sum of two elements
-    that leaves it raises ValueError.
+    exactly one addition.  Each coset is yielded as it is built, so a caller
+    that stops early builds no more.
     """
     closure = list(start)
     members = set(start)
+    yield from closure
     for g in generators:
         if g in members:
             continue
         base = closure[:]
         step = g
         while step not in members:
-            for c in base:
-                y = c + step
-                if inside is not None and y not in inside:
-                    raise ValueError(
-                        f"subgroup not closed under addition at {c}+{step}"
-                    )
-                members.add(y)
-                closure.append(y)
+            coset = [c + step for c in base]
+            members.update(coset)
+            closure += coset
+            yield from coset
             step = step + g
-    return closure
 
 
 @dataclass(unsafe_hash=True)
 class Subgroup:
     """Subgroup given by its full (sorted) element set.
 
-    ``Subgroup(parent, elements)`` validates the set by closing it greedily:
-    each element not yet produced becomes a generator, and the closure must
-    stay inside the set.  ``Subgroup._closed`` trusts a set built closed.
+    ``Subgroup(parent, elements)`` validates the set by closing it: the
+    subgroup generated by the elements, the identity first, must add no
+    element, and the ValueError names the first one it adds; elements of
+    another group are never members, so they fail too.  ``Subgroup._closed``
+    trusts a set built closed.
     """
 
     parent: FiniteAbelianGroup
@@ -300,15 +296,10 @@ class Subgroup:
 
     def __init__(self, parent: FiniteAbelianGroup, elements: Iterable[GroupElement]):
         elems = sorted(set(elements), key=lambda e: e.index)
-        if not elems:
-            raise ValueError("a subgroup contains at least the identity")
-        for e in elems:
-            if e.group != parent:
-                raise ValueError("subgroup element outside the parent group")
         elem_set = frozenset(elems)
-        if parent.zero not in elem_set:
-            raise ValueError("subgroup must contain the identity")
-        _closure([parent.zero], elems, inside=elem_set)
+        for y in _closure([parent.zero], elems):
+            if y not in elem_set:
+                raise ValueError(f"not a subgroup: its elements generate {y}, which it lacks")
         self.parent = parent
         self.elements = tuple(elems)
         self._set = elem_set

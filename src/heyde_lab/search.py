@@ -348,14 +348,13 @@ class ScanResult:
 
 
 def _idempotent_candidates(
-    group: FiniteAbelianGroup, config: SearchConfig
+    group: FiniteAbelianGroup, max_size: int
 ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """Uniform-on-coset candidates not already covered by the grid."""
+    """Uniform-on-coset candidates larger than the grid's max_size."""
     extras: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    covered_by_grid = min(config.support_size_cap, config.denominator_cap)
     for sub in all_subgroups(group):
         size = len(sub)
-        if size <= covered_by_grid:
+        if size <= max_size:
             continue
         rows = [group.translation_row(e.index) for e in sub]
         seen = set()
@@ -392,7 +391,10 @@ def grid_scan(
     if n > MAX_SCAN_ORDER:
         raise SearchSpaceError(f"group order {n} exceeds scan bound {MAX_SCAN_ORDER}")
 
-    sizes, cap = range(1, min(config.support_size_cap, n) + 1), config.denominator_cap
+    # a support of m points needs a denominator of at least m
+    cap = config.denominator_cap
+    max_size = min(config.support_size_cap, cap, n)
+    sizes = range(1, max_size + 1)
     # a size-2 support alone carries the cap - 1 vectors (1, d - 1), so past
     # this cap the grid exceeds the bound before its count is worth summing
     if len(sizes) > 1 and cap - 1 > math.isqrt(MAX_CANDIDATES):
@@ -412,7 +414,7 @@ def grid_scan(
     for m, vecs in weights_by_size.items():
         for support in combinations(range(n), m):
             candidates[support] = list(vecs)
-    for support, vecs in _idempotent_candidates(group, config).items():
+    for support, vecs in _idempotent_candidates(group, max_size).items():
         candidates.setdefault(support, []).extend(vecs)
 
     total_candidates = sum(len(v) for v in candidates.values())

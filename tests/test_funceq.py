@@ -31,7 +31,14 @@ from heyde_lab.funceq import (
     quadratic_vanishing,
     zero_function,
 )
-from heyde_lab.groups import make_group, scaling_endomorphism, subgroup_generated
+from heyde_lab.groups import (
+    Endomorphism,
+    GroupElement,
+    make_endomorphism,
+    make_group,
+    scaling_endomorphism,
+    subgroup_generated,
+)
 from heyde_lab.predicates import canonical_instance, is_conditionally_symmetric
 
 
@@ -329,3 +336,76 @@ def test_random_functions_fail_quadratic(seed):
     values[group.zero] = 0.0
     f = GroupFunction(group, values)
     assert not quadratic_check(f) or f.max_abs() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the chain layer against element arithmetic
+# ---------------------------------------------------------------------------
+
+
+def non_diagonal_adjoint(group, rng):
+    """Adjoint of a random compatible matrix with a nonzero off-diagonal
+    entry: a_ij is a multiple of n_i / gcd(n_i, n_j)."""
+    orders = group.cyclic_orders
+    steps = [[n_i // math.gcd(n_i, n_j) for n_j in orders] for n_i in orders]
+    while True:
+        matrix = [
+            [step * rng.randrange(n_i // step) for step in row]
+            for row, n_i in zip(steps, orders)
+        ]
+        if any(matrix[i][j] for i in range(group.rank) for j in range(group.rank) if i != j):
+            return make_endomorphism(group, matrix).adjoint()
+
+
+def reference_difference(values, h):
+    """D_h f as a dict, from element addition."""
+    return {y: values[y + h] - values[y] for y in values}
+
+
+def reference_climb(values, increments):
+    for h in increments:
+        values = reference_difference(values, h)
+    return values
+
+
+@pytest.mark.parametrize("orders", [[2, 6], [9, 3], [2, 4, 4]])
+def test_chain_layer_matches_element_arithmetic(orders, monkeypatch):
+    """finite_difference, both chains and quadratic_candidate equal dict
+    references built with element + and Endomorphism.__call__, exactly, and
+    make no element operation or endomorphism call of their own."""
+    group = make_group(orders)
+    rng = random.Random(str(orders))
+    calls = []
+    spied = [(GroupElement, op) for op in ("__add__", "__sub__", "__neg__", "__rmul__")]
+    for cls, name in spied + [(Endomorphism, "__call__")]:
+        original = getattr(cls, name)
+        monkeypatch.setattr(
+            cls, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    for _ in range(4):
+        a = non_diagonal_adjoint(group, rng)
+        psi1, psi2 = (
+            GroupFunction(group, {y: rng.uniform(-2, 2) for y in group.elements})
+            for _ in range(2)
+        )
+        h1, h2, h, k = (rng.choice(group.elements) for _ in range(4))
+
+        calls.clear()
+        diff = finite_difference(psi1, h)
+        r1, r2 = heyde_difference_chain(psi1, psi2, a, h1, h2, h)
+        p, q = quadratic_candidate(psi1, psi2, a)
+        m = m_forms_difference_chain(psi1, psi2, a, h1, h2, h, k)
+        assert calls == []
+
+        v1, v2 = psi1.values, psi2.values
+        assert diff.values == reference_difference(v1, h)
+        assert r1.values == reference_climb(v1, [h1 + a(h1), h2 + h2, h - a(h)])
+        assert r2.values == reference_climb(v2, [a(h1) + a(h1), h2 + a(h2), a(h) - h])
+        ref_p = {y: v1[y + a(y)] + v2[a(y) + a(y)] for y in group.elements}
+        ref_q = {y: v1[y + y] + v2[y + a(y)] for y in group.elements}
+        assert p.values == m.p.values == ref_p
+        assert q.values == m.q.values == ref_q
+        assert m.residual_p.values == reference_climb(ref_p, [h1 + a(h1), h2 + h2, h])
+        assert m.residual_q.values == reference_climb(
+            ref_q, [-(a(h1) + a(h1)), -(h2 + a(h2)), k]
+        )

@@ -412,6 +412,28 @@ def test_scan_space_guard_counts_grid_before_enumerating():
         grid_scan(g27, scaling_endomorphism(g27, 4), SearchConfig())
 
 
+@pytest.mark.parametrize("caps,bounded", [((4, 3), (3, 3)), ((3, 1), (1, 1))])
+def test_support_cap_beyond_denominator_cap_builds_no_supports(monkeypatch, caps, bounded):
+    """A support of m points needs a denominator of at least m: a support cap
+    above the denominator cap changes neither the hits nor the summary, and
+    the grid asks for no weight vectors of a size above the denominator cap."""
+    g15 = make_group([15])
+    alpha = scaling_endomorphism(g15, 7)
+    sizes = []
+    weight_vectors = search.weight_vectors
+    monkeypatch.setattr(
+        search, "weight_vectors", lambda m, d: sizes.append(m) or weight_vectors(m, d)
+    )
+
+    def outcome(support_cap, denominator_cap):
+        scan = grid_scan(g15, alpha, SearchConfig(support_cap, denominator_cap, random_trials=0))
+        summary = {k: v for k, v in scan.summary.items() if k != "config"}
+        return [r.to_json() for r in scan.hits], summary
+
+    assert outcome(*caps) == outcome(*bounded)
+    assert max(sizes) <= caps[1]
+
+
 # ---------------------------------------------------------------------------
 # finite-level p-power scans
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import hashlib
 import math
 import pickle
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -159,3 +160,37 @@ def test_lattice_closed_under_sum_and_intersection():
         assert subgroup_generated(group, [*a, *b]) in subgroups
         assert Subgroup(group, set(a) & set(b)) in subgroups
     assert all(subgroup_generated(group, [x]) in subgroups for x in group.elements)
+
+
+def _closed_under_addition(elements):
+    return all(x + y in elements for x in elements for y in elements)
+
+
+@pytest.mark.parametrize("orders", [[4, 6], [2, 2, 2]])
+def test_validation_accepts_exactly_the_sets_closed_under_addition(orders):
+    """Subgroup(...) against a brute-force oracle over pairs, on random sets
+    with 0 added (every such set on Z2^3), and on subgroups with an element
+    dropped; a rejection names an element that the set generates but lacks."""
+    group = make_group(orders)
+    rng = random.Random(str(orders))
+    others = group.elements[1:]
+    if group.order <= 8:
+        sets = [set(c) for m in range(len(others) + 1) for c in combinations(others, m)]
+    else:
+        sets = [set(rng.sample(others, rng.randrange(len(others) + 1))) for _ in range(300)]
+        for sub in all_subgroups(group):
+            sets.append(set(sub))
+            sets.append(set(sub) - {rng.choice(sub.elements)})
+    accepted = 0
+    for members in sets:
+        members.add(group.zero)
+        if _closed_under_addition(members):
+            assert set(Subgroup(group, members)) == members
+            accepted += 1
+            continue
+        with pytest.raises(ValueError) as exc:
+            Subgroup(group, members)
+        coords = re.search(r"generate \(([\d,]+)\)", str(exc.value)).group(1)
+        named = group.element(int(c) for c in coords.split(","))
+        assert named in subgroup_generated(group, members) and named not in members
+    assert accepted >= len(all_subgroups(group))
