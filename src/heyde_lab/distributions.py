@@ -20,7 +20,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Any, Hashable, Iterable, Mapping, Sequence
@@ -87,6 +86,7 @@ class Distribution:
     def _build(self, group, indices, numerators, denominator) -> None:
         self.group, self.denominator = group, denominator
         self.indices, self.numerators = tuple(indices), tuple(numerators)
+        self._probs = None  # set at build, so a view read later keeps the attribute layout
         self.__post_init__()
 
     def __post_init__(self):
@@ -105,12 +105,14 @@ class Distribution:
         if not nums or sum(nums) != d:
             raise ValueError(f"probabilities sum to {Fraction(sum(nums), d or 1)}, expected 1")
 
-    @cached_property
+    @property
     def probs(self) -> Mapping[GroupElement, Fraction]:
-        elements, d = self.group.elements, self.denominator
-        return MappingProxyType({
-            elements[i]: Fraction(w, d) for i, w in zip(self.indices, self.numerators)
-        })
+        if self._probs is None:
+            elements, d = self.group.elements, self.denominator
+            self._probs = MappingProxyType({
+                elements[i]: Fraction(w, d) for i, w in zip(self.indices, self.numerators)
+            })
+        return self._probs
 
     def __reduce__(self):  # the cached view is not picklable; rebuild from integers
         return Distribution.from_weights, (self.group, self.indices, self.numerators)

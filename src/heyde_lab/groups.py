@@ -9,12 +9,14 @@ guarantees the action is well defined.
 Everything here is desk scale.  The group defines element indices:
 coordinate m of element i is (i // s_m) % n_m for fixed strides s_m, and
 loops over all elements or pairs, here and in the modules above, read
-``negation_table()`` and ``translation_row(i)``, computed from those
-digits.  ``group.elements[i]`` is the one instance of element i, with i as its
-``index``; ``element()`` and every operation return it via ``_reduce``.  An
-endomorphism's table of image indices and a character's row of values are
-digit sums, and ``is_auto``, the kernel, image and inverse are read off
-the table.  A subgroup is held as its element set.  ``Subgroup(parent,
+``negation_table()``, built once per group, and ``translation_row(i)``, the
+digit sums of the group's columns [e * s_m for e < n_m], each rotated by
+i's digit m.  ``group.elements[i]`` is the one instance of element i, with i
+as its ``index``; ``element()`` and every operation return it via
+``_reduce``.  An endomorphism's table of image indices is a digit sum, and
+``is_auto``, the kernel, image and inverse are read off it; a character's
+row indexes the root table with digit sums of exponents reduced per
+coordinate.  A subgroup is held as its element set.  ``Subgroup(parent,
 elements)`` validates elements from outside the algebra; ``Subgroup._closed``
 trusts a closure, kernel, image or annihilator, which algebra built closed.
 An annihilator keeps the y of pairing exponent 0 against every x in K.
@@ -51,9 +53,9 @@ class IncompatibleMatrixError(ValueError):
 
 def _digit_sums(columns: Iterable[Sequence[int]]) -> list[int]:
     """columns[m][e_m] summed over the coordinates m, for each coordinate
-    vector e in lexicographic order."""
-    sums = [0]
-    for column in columns:
+    vector e in lexicographic order (the first column itself if it is the only one)."""
+    sums, *rest = columns
+    for column in rest:
         sums = [t + c for t in sums for c in column]
     return sums
 
@@ -81,7 +83,9 @@ class FiniteAbelianGroup:
         self._pair_weights = tuple(self.exponent // n for n in orders)
         # lexicographic order: the last coordinate varies fastest
         self._strides = tuple(math.prod(orders[m + 1 :]) for m in range(self.rank))
+        self._columns = tuple([e * s for e in range(n)] for n, s in zip(orders, self._strides))
         self._elements: tuple[GroupElement, ...] | None = None
+        self._negation: tuple[int, ...] | None = None
         self._roots: tuple[complex, ...] | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -131,19 +135,16 @@ class FiniteAbelianGroup:
         """Lexicographic rank of an element."""
         return x.index
 
-    def negation_table(self) -> list[int]:
-        """Index of -x_i for each element index i."""
-        return _digit_sums(
-            [-e % n * s for e in range(n)]
-            for n, s in zip(self.cyclic_orders, self._strides)
-        )
+    def negation_table(self) -> tuple[int, ...]:
+        """Index of -x_i for each element index i; built once per group."""
+        if self._negation is None:
+            self._negation = tuple(_digit_sums(col[:1] + col[:0:-1] for col in self._columns))
+        return self._negation
 
     def translation_row(self, i: int) -> list[int]:
-        """Index of x_i + x_j for each element index j."""
-        return _digit_sums(
-            [(i // s + e) % n * s for e in range(n)]
-            for n, s in zip(self.cyclic_orders, self._strides)
-        )
+        """Index of x_i + x_j for each element index j: the columns rotated by i's digits."""
+        digits = (i // s % n for n, s in zip(self.cyclic_orders, self._strides))
+        return _digit_sums(col[c:] + col[:c] for col, c in zip(self._columns, digits))
 
     def pairing_exponent(self, x: GroupElement, y: GroupElement) -> int:
         """Integer t with (x, y) = exp(2*pi*i*t / exponent), 0 <= t < exponent."""
@@ -152,24 +153,30 @@ class FiniteAbelianGroup:
             t += a * b * w
         return t % self.exponent
 
+    def _root_table(self) -> tuple[complex, ...]:
+        """exp(2*pi*i*k / exponent) for k < rank * exponent: a digit sum of reduced exponents indexes it."""
+        if self._roots is None:
+            e = self.exponent
+            self._roots = tuple(cmath.exp(2j * math.pi * k / e) for k in range(e)) * self.rank
+        return self._roots
+
     def root_of_unity(self, t: int) -> complex:
         """exp(2*pi*i*t / exponent)."""
         t %= self.exponent
         if self.exponent <= _ROOT_TABLE_MAX:
-            if self._roots is None:
-                self._roots = tuple(
-                    cmath.exp(2j * math.pi * k / self.exponent)
-                    for k in range(self.exponent)
-                )
-            return self._roots[t]
+            return self._root_table()[t]
         return cmath.exp(2j * math.pi * t / self.exponent)
 
     def character_row(self, x: GroupElement) -> list[complex]:
         """character(x, y) for each element y, in element order."""
-        return list(map(self.root_of_unity, _digit_sums(
-            [a * w * e for e in range(n)]
+        e = self.exponent
+        exponents = _digit_sums(
+            [a * w * k % e for k in range(n)]
             for a, n, w in zip(x.coords, self.cyclic_orders, self._pair_weights)
-        )))
+        )
+        if e > _ROOT_TABLE_MAX:
+            return list(map(self.root_of_unity, exponents))
+        return list(map(self._root_table().__getitem__, exponents))
 
 
 @dataclass(frozen=True, slots=True, eq=False)

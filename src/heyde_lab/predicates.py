@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 from typing import Any, Mapping
 
@@ -100,14 +99,17 @@ class JointDistribution:
             raise ValueError("negative joint probability")
         joint = super().__new__(cls)
         joint.group, joint.cells, joint.denominator = group, cells, denominator
+        joint._probs = None
         return joint
 
-    @cached_property
+    @property
     def probs(self) -> Mapping[tuple[GroupElement, GroupElement], Fraction]:
-        elements, n, d = self.group.elements, self.group.order, self.denominator
-        return MappingProxyType({
-            (elements[k // n], elements[k % n]): Fraction(w, d) for k, w in self.cells.items()
-        })
+        if self._probs is None:
+            elements, n, d = self.group.elements, self.group.order, self.denominator
+            self._probs = MappingProxyType({
+                (elements[k // n], elements[k % n]): Fraction(w, d) for k, w in self.cells.items()
+            })
+        return self._probs
 
     def __reduce__(self):  # the cached view is not picklable; rebuild from integers
         return JointDistribution.from_cells, (self.group, self.cells, self.denominator)
@@ -183,6 +185,8 @@ def heyde_equation_check(inst: FormsInstance, tol: float = CHAR_TOL) -> bool:
 
     where a~ is the adjoint of the coefficient of x2 in L2.  Compared at the
     given tolerance; must agree with :func:`is_conditionally_symmetric`.
+    The right side at v is the left side at -v (a~ commutes with negation),
+    so one row of left sides per u is compared once per pair {v, -v}.
     """
     if not inst.is_canonical:
         raise NonCanonicalInstanceError(
@@ -192,15 +196,13 @@ def heyde_equation_check(inst: FormsInstance, tol: float = CHAR_TOL) -> bool:
     group = inst.group
     f1 = char_values_list(inst.mu1)
     f2 = char_values_list(inst.mu2)
-    neg = group.negation_table()
     adj = inst.beta2.adjoint().table
-    terms = [(v, av, neg[v], neg[av]) for v, av in enumerate(adj)]
+    pairs = [(v, minus_v) for v, minus_v in enumerate(group.negation_table()) if v <= minus_v]
     for u in range(group.order):
         row = group.translation_row(u)
-        for v, av, minus_v, minus_av in terms:
-            lhs = f1[row[v]] * f2[row[av]]
-            rhs = f1[row[minus_v]] * f2[row[minus_av]]
-            if abs(lhs - rhs) > tol:
+        lhs = [f1[s] * f2[row[av]] for s, av in zip(row, adj)]
+        for v, minus_v in pairs:
+            if abs(lhs[v] - lhs[minus_v]) > tol:
                 return False
     return True
 
@@ -253,15 +255,13 @@ def independence_equation_check(inst: FormsInstance, tol: float = CHAR_TOL) -> b
         coeff.adjoint().table
         for coeff in (inst.alpha1, inst.alpha2, inst.beta1, inst.beta2)
     )
-    b_terms = list(zip(b1, b2))
+    b_terms = [(v1, v2, f1[v1], f2[v2]) for v1, v2 in zip(b1, b2)]
     for u1, u2 in zip(a1, a2):
         row1 = group.translation_row(u1)
         row2 = group.translation_row(u2)
         fu = f1[u1] * f2[u2]
-        for v1, v2 in b_terms:
-            lhs = f1[row1[v1]] * f2[row2[v2]]
-            rhs = fu * f1[v1] * f2[v2]
-            if abs(lhs - rhs) > tol:
+        for v1, v2, g1, g2 in b_terms:
+            if abs(f1[row1[v1]] * f2[row2[v2]] - fu * g1 * g2) > tol:
                 return False
     return True
 

@@ -16,6 +16,7 @@ or strings).  Distribution keys are comma-joined coordinates ``str(c)``,
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Any, Mapping
@@ -88,10 +89,6 @@ def element_from_key(group: FiniteAbelianGroup, key: str) -> GroupElement:
     return group.element(map(int, parts))
 
 
-def fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
 def fraction_from_str(s: Any) -> Fraction:
     try:
         return Fraction(str(s))
@@ -100,9 +97,12 @@ def fraction_from_str(s: Any) -> Fraction:
 
 
 def distribution_to_json(mu: Distribution) -> dict:
-    return {
-        "probs": {element_key(x): fraction_str(p) for x, p in mu.probs.items()}
-    }
+    """Each mass w / d in lowest terms, from the integer form."""
+    d = mu.denominator
+    return {"probs": {
+        element_key(x): f"{w // (g := math.gcd(w, d))}/{d // g}"
+        for x, w in zip(mu.support(), mu.numerators)
+    }}
 
 
 def distribution_from_json(group: FiniteAbelianGroup, obj: Any) -> Distribution:

@@ -1,15 +1,18 @@
 import hashlib
+import importlib
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from heyde_lab import search
 from heyde_lab.cli import run
-from heyde_lab.distributions import make_distribution, uniform
+from heyde_lab.distributions import Distribution, make_distribution, uniform
 from heyde_lab.groups import make_group, scaling_endomorphism
 from heyde_lab.predicates import FormsInstance, canonical_instance
 from heyde_lab.serialization import (
@@ -99,6 +102,22 @@ def test_distribution_round_trip():
     payload = distribution_to_json(mu)
     assert payload == {"probs": {"0,2": "1/6", "4,1": "5/6"}}
     assert distribution_from_json(group, payload) == mu
+
+
+def test_distribution_json_reduces_each_mass():
+    """Masses are written in lowest terms, as Fraction(w, d) prints them,
+    also when a numerator shares a factor with the denominator."""
+    group = make_group([4, 3])
+    rng = random.Random(7)
+    laws = [Distribution.from_weights(group, [0, 5, 11], [2, 1, 1])]
+    laws += [search.random_distribution(group, rng, 6, 12) for _ in range(40)]
+    for mu in laws:
+        expected = {
+            ",".join(map(str, x.coords)): f"{p.numerator}/{p.denominator}"
+            for x, p in mu.probs.items()
+        }
+        assert distribution_to_json(mu) == {"probs": expected}
+    assert distribution_to_json(laws[0]) == {"probs": {"0,0": "1/2", "1,2": "1/4", "3,2": "1/4"}}
 
 
 def test_distribution_schema_errors():
@@ -265,6 +284,20 @@ def test_check_output_pinned(tmp_path, monkeypatch):
     assert code == 1
     assert hashlib.sha256(output.encode()).hexdigest() == (
         "7118757c788c4f3a3ad72c99c03347d53eb795481ae659599f6d78e7e77ebe66"
+    )
+
+
+def test_benchmark_check_operations_output_pinned(tmp_path, monkeypatch):
+    """stdout of the benchmark's seed-1 check operations (five order-243
+    instances, full Fourier sweeps), hashed at a fixed timestamp."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    monkeypatch.chdir(tmp_path)  # operations name their inputs relative to it
+    outputs = [run_cli(list(op.argv)) for op in workloads.generate("check", 1, tmp_path)]
+    assert [code for code, _ in outputs] == [0] * 5
+    output = "".join(text for _, text in outputs)
+    assert hashlib.sha256(output.encode()).hexdigest() == (
+        "f164fd961797fdac87282da018ad57559bc178f10bb7ca8f39a3c46ddafc87c7"
     )
 
 

@@ -260,9 +260,11 @@ def test_distribution_copies_and_pickles_after_its_view_is_built():
 def test_probs_view_is_read_only():
     g5 = make_group([5])
     mu = Distribution.from_weights(g5, [0, 3], [1, 1])
+    attributes = set(vars(mu))
     with pytest.raises(TypeError):
         mu.probs[elem(g5, 1)] = Fraction(1)
     assert mu.probs is mu.probs
+    assert set(vars(mu)) == attributes  # the view fills an attribute set at build
     joint = _joint(g5, mu)
     with pytest.raises(TypeError):
         joint.probs[(elem(g5, 1), elem(g5, 1))] = Fraction(1)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given
 
 from heyde_lab.groups import (
+    _ROOT_TABLE_MAX,
     Endomorphism,
     IncompatibleMatrixError,
     Subgroup,
@@ -66,14 +67,17 @@ def test_element_order_is_lexicographic():
     assert coords == sorted(coords)
 
 
-@pytest.mark.parametrize("orders", [[4, 2], [2, 6], [9, 3], [3, 3, 3]])
+@pytest.mark.parametrize("orders", [[4, 2], [2, 6], [9, 3], [3, 3, 3], [243], [2, 2, 2]])
 def test_index_tables_match_element_arithmetic(orders):
     """The index core on mixed-radix products: ranks, negation and every
-    translation row agree with GroupElement arithmetic."""
+    translation row agree with GroupElement arithmetic; the negation table
+    is built once and cannot be changed."""
     group = make_group(orders)
     elements = group.elements
     assert [group.index(x) for x in elements] == list(range(group.order))
     assert [elements[t] for t in group.negation_table()] == [-x for x in elements]
+    assert type(group.negation_table()) is tuple
+    assert group.negation_table() is group.negation_table()
     for i, x in enumerate(elements):
         row = group.translation_row(i)
         assert [elements[t] for t in row] == [x + y for y in elements]
@@ -148,6 +152,18 @@ def test_character_examples():
 def test_character_group_mismatch():
     with pytest.raises(ValueError):
         character(elem(make_group([5]), 1), elem(make_group([7]), 1))
+
+
+@pytest.mark.parametrize("orders", [[4, 2], [9, 3], [3, 3, 3], [4099]])
+def test_character_row_equals_character(orders):
+    """A character row is the same floats as character() per element, from
+    the root table and, above _ROOT_TABLE_MAX (4099 here), from cmath."""
+    group = make_group(orders)
+    elements = group.elements
+    assert (group.exponent > _ROOT_TABLE_MAX) == (orders == [4099])
+    picks = elements if group.order < 100 else [elements[i] for i in (1, 2, 1000, 4098)]
+    for x in picks:
+        assert group.character_row(x) == [character(x, y) for y in elements]
 
 
 def _tables(group):

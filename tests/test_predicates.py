@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from heyde_lab.distributions import (
+    CHAR_TOL,
     Distribution,
     char_values_list,
     convolve,
@@ -18,6 +20,7 @@ from heyde_lab.distributions import (
 from heyde_lab.groups import (
     Endomorphism,
     identity_endomorphism,
+    make_endomorphism,
     make_group,
     neg_identity_endomorphism,
     scaling_endomorphism,
@@ -37,6 +40,7 @@ from heyde_lab.predicates import (
     independence_equation_check,
     is_conditionally_symmetric,
     joint_of_forms,
+    obstruction_kernel,
     symmetry_forces_equal,
 )
 from heyde_lab.search import random_automorphism, random_distribution
@@ -506,3 +510,103 @@ def test_canonicalize_preserves_symmetry_verdict(seed):
     assert is_conditionally_symmetric(inst) == is_conditionally_symmetric(
         result.instance
     )
+
+
+# ---------------------------------------------------------------------------
+# the Fourier sweeps against the direct loops
+# ---------------------------------------------------------------------------
+
+
+def heyde_residual(inst):
+    """Largest |lhs - rhs| of the symmetry equation over every (u, v), each
+    side formed as its own product."""
+    group = inst.group
+    f1, f2 = char_values_list(inst.mu1), char_values_list(inst.mu2)
+    neg = group.negation_table()
+    adj = inst.beta2.adjoint().table
+    terms = [(v, av, neg[v], neg[av]) for v, av in enumerate(adj)]
+    return max(
+        abs(f1[row[v]] * f2[row[av]] - f1[row[minus_v]] * f2[row[minus_av]])
+        for row in map(group.translation_row, range(group.order))
+        for v, av, minus_v, minus_av in terms
+    )
+
+
+def independence_residual(inst):
+    """Largest |lhs - rhs| of the independence equation over every (u, v),
+    each character value looked up where it is used."""
+    group = inst.group
+    f1, f2 = char_values_list(inst.mu1), char_values_list(inst.mu2)
+    a1, a2, b1, b2 = (
+        coeff.adjoint().table for coeff in (inst.alpha1, inst.alpha2, inst.beta1, inst.beta2)
+    )
+    rows = ((u1, u2, group.translation_row(u1), group.translation_row(u2)) for u1, u2 in zip(a1, a2))
+    return max(
+        abs(f1[row1[v1]] * f2[row2[v2]] - f1[u1] * f2[u2] * f1[v1] * f2[v2])
+        for u1, u2, row1, row2 in rows
+        for v1, v2 in zip(b1, b2)
+    )
+
+
+def compatible_endomorphism(group, rng):
+    """Random matrix with n_j * a_ij = 0 (mod n_i), a nonzero off-diagonal
+    entry when the rank allows: a_ij is a multiple of n_i / gcd(n_i, n_j)."""
+    orders = group.cyclic_orders
+    while True:
+        matrix = [
+            [n_i // math.gcd(n_i, n_j) * rng.randrange(math.gcd(n_i, n_j)) for n_j in orders]
+            for n_i in orders
+        ]
+        if group.rank == 1 or any(matrix[i][j] for i in range(group.rank) for j in range(i)):
+            return make_endomorphism(group, matrix)
+
+
+SWEEP_TOLS = [0.0, 1e-15, CHAR_TOL, 1e-3]
+
+
+@pytest.mark.parametrize("orders", [[2, 4], [2, 2, 2], [9, 3], [4, 4], [15]])
+def test_sweeps_match_direct_loops(orders):
+    """heyde_equation_check and independence_equation_check compare the same
+    floats as the direct loops over every (u, v): the verdict at each
+    tolerance, 0 included, is whether the loops' largest residual is within
+    it.  The left sides at v and -v are one side at v and the other at -v."""
+    group = make_group(orders)
+    rng = random.Random(str(orders))
+    verdicts = {"heyde": set(), "independence": set()}
+    for _ in range(8):
+        alpha = compatible_endomorphism(group, rng)
+        kernel = obstruction_kernel(alpha)
+        mu = random_distribution(group, rng, 5, 9)
+        on_kernel = Distribution.from_weights(
+            group, [x.index for x in kernel], [rng.randint(1, 9) for _ in kernel]
+        )
+        pairs = [
+            (mu, mu),
+            (mu, random_distribution(group, rng, 5, 9)),
+            (on_kernel, on_kernel),
+            (haar_on(kernel), haar_on(kernel)),
+        ]
+        for mu1, mu2 in pairs:
+            canonical = [
+                canonical_instance(group, alpha, mu1, mu2),
+                canonical_instance(group, neg_identity_endomorphism(group), mu1, mu2),
+            ]
+            general = [
+                FormsInstance(group, *(compatible_endomorphism(group, rng) for _ in range(4)), mu1, mu2),
+                *map(derived_forms_instance, canonical),
+            ]
+            sweeps = [(inst, "heyde", heyde_equation_check, heyde_residual) for inst in canonical]
+            sweeps += [
+                (inst, "independence", independence_equation_check, independence_residual)
+                for inst in general
+            ]
+            for inst, name, check, residual in sweeps:
+                r = residual(inst)
+                for tol in SWEEP_TOLS:
+                    assert check(inst, tol) == (r <= tol)
+                    verdicts[name].add(r <= tol)
+                # the largest residual is the same float: the verdict flips exactly there
+                assert check(inst, r) and (r == 0 or not check(inst, math.nextafter(r, 0)))
+    # on a group of exponent 2 every pair is symmetric
+    assert verdicts["heyde"] == ({True} if group.exponent == 2 else {True, False})
+    assert verdicts["independence"] == {True, False}
