@@ -2,8 +2,10 @@
 inside a nontrivial Ker(I + alpha), and contrast with a non-symmetric pair.
 
 Prints the JSON chain reports: maximal residual over all increment
-choices, the worst increments, and whether the diagonal function P of the
-independence chain satisfies the quadratic identity.
+choices, the worst increments (k1, k2, k3) of the symmetry chain and
+(h1, h2, h, k) of the independence chain, on which the chains replay to
+that residual, and whether the diagonal function P of the independence
+chain satisfies the quadratic identity.
 
     python scripts/chain_residuals.py
 """

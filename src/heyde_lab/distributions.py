@@ -7,10 +7,11 @@ group's index tables.  The ``Fraction`` masses keyed by element are a
 read-only view built on first use.  Masses given by element are
 validated on integer numerators over one common denominator by
 :func:`exact_masses`, and laws summed by image use one accumulator,
-:func:`accumulate`.  Characteristic functions (group Fourier transforms)
-are complex doubles, summed from one row of character values per support
-point, and carry a tolerance; whenever a question can be decided in
-probability space it is decided there.
+:func:`accumulate`.  A ``GroupFunction`` is held as ``row``, its values in
+element order, and viewed as a dict keyed by element; a ``CharFunction``
+(group Fourier transform) adds its checks to one: complex doubles, summed
+from one row of character values per support point, with a tolerance.
+Whenever a question can be decided in probability space it is decided there.
 """
 
 from __future__ import annotations
@@ -134,8 +135,45 @@ class Distribution:
         return "Distribution({" + items + "})"
 
 
-@dataclass
-class CharFunction:
+class GroupFunction:
+    """Total function on a group, held as ``row``, its values in element
+    order: ``GroupFunction(group, mapping)`` takes them keyed by element,
+    ``from_row(group, row)`` as a list; ``values`` is a read-only view."""
+
+    def __new__(cls, group: FiniteAbelianGroup, mapping: Mapping[GroupElement, Any]):
+        if len(mapping) != group.order:
+            raise ValueError("function must be defined on every element of its group")
+        return cls.from_row(group, [mapping.get(y) for y in group.elements])
+
+    @classmethod
+    def from_row(cls, group: FiniteAbelianGroup, row: Sequence) -> GroupFunction:
+        if len(row) != group.order or None in row:
+            raise ValueError("function must be defined on every element of its group")
+        f = object.__new__(cls)
+        f.group, f.row = group, list(row)
+        f._values = None  # set at build, so a view read later keeps the attribute layout
+        return f
+
+    @property
+    def values(self) -> Mapping[GroupElement, Any]:
+        if self._values is None:
+            self._values = MappingProxyType(dict(zip(self.group.elements, self.row)))
+        return self._values
+
+    def __reduce__(self):  # the cached view is not picklable; rebuild from the row
+        return type(self).from_row, (self.group, self.row)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and (self.group, self.row) == (other.group, other.row)
+
+    def __call__(self, y: GroupElement):
+        return self.values[y]
+
+    def max_abs(self) -> float:
+        return max(map(abs, self.row))
+
+
+class CharFunction(GroupFunction):
     """Characteristic function: complex value per character index.
 
     Validated on construction: value 1 at the identity (within
@@ -143,23 +181,17 @@ class CharFunction:
     f(-y) = conj(f(y)) within CHAR_TOL.
     """
 
-    group: FiniteAbelianGroup
-    values: dict[GroupElement, complex]
-
-    def __post_init__(self):
-        if set(self.values) != set(self.group.elements):
-            raise ValueError("characteristic function must be defined everywhere")
-        zero_val = self.values[self.group.zero]
-        if abs(zero_val - 1.0) > CHAR_ONE_TOL:
-            raise ValueError(f"value at 0 is {zero_val}, expected 1")
-        for y, v in self.values.items():
+    @classmethod
+    def from_row(cls, group: FiniteAbelianGroup, row: Sequence) -> CharFunction:
+        f = super().from_row(group, row)
+        if abs(row[0] - 1.0) > CHAR_ONE_TOL:
+            raise ValueError(f"value at 0 is {row[0]}, expected 1")
+        for y, v, minus_y in zip(group.elements, row, group.negation_table()):
             if abs(v) > 1 + CHAR_ONE_TOL:
                 raise ValueError(f"modulus exceeds 1 at {y}: {v}")
-            if abs(self.values[-y] - v.conjugate()) > CHAR_TOL:
+            if abs(row[minus_y] - v.conjugate()) > CHAR_TOL:
                 raise ValueError(f"hermitian symmetry violated at {y}")
-
-    def __call__(self, y: GroupElement) -> complex:
-        return self.values[y]
+        return f
 
 
 def exact_masses(probs: Mapping[Hashable, Any]) -> tuple[dict, int, list[int]]:
@@ -245,7 +277,7 @@ def symmetrize(mu: Distribution) -> Distribution:
 
 
 def char_function(mu: Distribution) -> CharFunction:
-    return CharFunction(mu.group, dict(zip(mu.group.elements, char_values_list(mu))))
+    return CharFunction.from_row(mu.group, char_values_list(mu))
 
 
 def char_values_list(mu: Distribution) -> list[complex]:
@@ -271,13 +303,13 @@ def distribution_from_char(f: CharFunction) -> Distribution:
     InvalidCharFunctionError when a mass is negative beyond tolerance or
     has a non-real component.
     """
-    group = f.group
+    group, row = f.group, f.row
     n = group.order
-    masses: dict[GroupElement, Fraction] = {}
+    masses: dict[int, Fraction] = {}
     for x in group.elements:
         acc = 0j
-        for y, c in zip(group.elements, group.character_row(x)):
-            acc += f.values[y] * c.conjugate()
+        for v, c in zip(row, group.character_row(x)):
+            acc += v * c.conjugate()
         acc /= n
         if abs(acc.imag) > CHAR_TOL:
             raise InvalidCharFunctionError(
@@ -291,13 +323,12 @@ def distribution_from_char(f: CharFunction) -> Distribution:
         if val <= 0:
             continue
         snapped = Fraction(val).limit_denominator(SNAP_DENOMINATOR_CAP)
-        masses[x] = snapped if abs(float(snapped) - val) <= CHAR_TOL else Fraction(val)
-    total = sum(masses.values(), Fraction(0))
-    if total == 0:
+        masses[x.index] = snapped if abs(float(snapped) - val) <= CHAR_TOL else Fraction(val)
+    # from_weights divides by the weights' sum, which renormalizes the masses
+    masses, _d, weights = exact_masses(masses)
+    if not weights:
         raise InvalidCharFunctionError("inversion produced the zero measure")
-    if total != 1:
-        masses = {x: p / total for x, p in masses.items()}
-    return Distribution(group, masses)
+    return Distribution.from_weights(group, list(masses), weights)
 
 
 def one_set(f: CharFunction) -> Subgroup:
@@ -305,11 +336,11 @@ def one_set(f: CharFunction) -> Subgroup:
 
     Membership is decided at tolerance CHAR_TOL; values whose distance from
     1 falls strictly inside (CHAR_TOL, ONE_SET_AMBIGUITY) raise
-    AmbiguousCharValueError, and a non-closed membership set raises
-    InvalidCharFunctionError.
+    AmbiguousCharValueError, and a membership set other than its double
+    annihilator, the subgroup it generates, raises InvalidCharFunctionError.
     """
     members = []
-    for y, v in f.values.items():
+    for y, v in zip(f.group.elements, f.row):
         d = abs(v - 1.0)
         if d <= CHAR_TOL:
             members.append(y)
@@ -317,12 +348,13 @@ def one_set(f: CharFunction) -> Subgroup:
             raise AmbiguousCharValueError(
                 f"value {v} at {y} is ambiguously close to 1 (distance {d})"
             )
-    try:
-        return Subgroup(f.group, members)
-    except ValueError as exc:
+    level = Subgroup._closed(f.group, members)  # checked next
+    lacking = [y for y in annihilator(annihilator(level)) if y not in level]
+    if lacking:
         raise InvalidCharFunctionError(
-            f"level set at 1 is not a subgroup: {exc}"
-        ) from exc
+            f"level set at 1 is not a subgroup: it generates {lacking[0]}, which it lacks"
+        )
+    return level
 
 
 def support_within_annihilator(mu: Distribution, e: Subgroup) -> bool:

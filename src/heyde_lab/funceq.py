@@ -14,10 +14,10 @@ and hence vanishes on a finite group.
 On a finite group every function is continuous and the neighbourhood
 bookkeeping of the continuous setting collapses: all identities are checked
 globally.  Each chain's increment ladder is defined once, as endomorphisms
-of the adjoint.  Every difference runs on value lists in element order:
-the chain functions and the residual scans climb a ladder through its
-endomorphisms' index tables and the group's translation rows, and wrap
-a result as a GroupFunction only at the boundary.
+of the adjoint.  Every difference runs on a GroupFunction's ``row``, its
+values in element order: the chain functions and the residual scans climb
+a ladder through its endomorphisms' index tables and the group's
+translation rows.  A scan reports increments that replay to its residual.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .distributions import Distribution, char_values_list
+from .distributions import Distribution, GroupFunction, char_values_list
 from .groups import (
     Endomorphism,
     FiniteAbelianGroup,
@@ -53,43 +53,15 @@ class CharDomainError(ValueError):
     """A characteristic value is outside the domain of the logarithm."""
 
 
-@dataclass
-class GroupFunction:
-    """Total real-valued function on a group."""
-
-    group: FiniteAbelianGroup
-    values: dict[GroupElement, float]
-
-    def __post_init__(self):
-        if set(self.values) != set(self.group.elements):
-            raise ValueError("group function must be defined on every element")
-
-    def __call__(self, y: GroupElement) -> float:
-        return self.values[y]
-
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.values.values())
-
-
-def _values(f: GroupFunction) -> list[float]:
-    """f's values in element order."""
-    return [f.values[y] for y in f.group.elements]
-
-
-def _function(group: FiniteAbelianGroup, values: Sequence[float]) -> GroupFunction:
-    """The function with the given values in element order."""
-    return GroupFunction(group, dict(zip(group.elements, values)))
-
-
 def zero_function(group: FiniteAbelianGroup) -> GroupFunction:
-    return GroupFunction(group, {y: 0.0 for y in group.elements})
+    return GroupFunction.from_row(group, [0.0] * group.order)
 
 
 def finite_difference(f: GroupFunction, h: GroupElement) -> GroupFunction:
     """(D_h f)(y) = f(y + h) - f(y)."""
     if h.group != f.group:
         raise ValueError("increment outside the function's group")
-    return _function(f.group, _difference(_values(f), f.group.translation_row(h.index)))
+    return GroupFunction.from_row(f.group, _difference(f.row, f.group.translation_row(h.index)))
 
 
 def neg_log_char(mu: Distribution) -> GroupFunction:
@@ -101,9 +73,8 @@ def neg_log_char(mu: Distribution) -> GroupFunction:
     index when a value vanishes (below 1e-9) or has a non-real component.
     """
     group = mu.group
-    values = char_values_list(mu)
-    out: dict[GroupElement, float] = {}
-    for y, v in zip(group.elements, values):
+    out = []
+    for y, v in zip(group.elements, char_values_list(mu)):
         if abs(v.imag) > 1e-9:
             raise CharDomainError(
                 f"characteristic value {v} at y={y} is not real"
@@ -115,9 +86,9 @@ def neg_log_char(mu: Distribution) -> GroupFunction:
         val = -math.log(v.real)
         if -1e-9 < val < 0.0:
             val = 0.0
-        out[y] = val
-    out[group.zero] = 0.0
-    return GroupFunction(group, out)
+        out.append(val)
+    out[0] = 0.0
+    return GroupFunction.from_row(group, out)
 
 
 def _heyde_ladder(alpha_adj: Endomorphism) -> tuple[tuple, tuple]:
@@ -158,7 +129,7 @@ def _chain(f: GroupFunction, ladder: tuple, increments: Sequence[GroupElement]) 
     """The ladder's iterated difference of f along the increments."""
     if any(h.group != f.group for h in increments):
         raise ValueError("increment outside the function's group")
-    return _function(f.group, _climb(f.group, _values(f), ladder, [h.index for h in increments]))
+    return GroupFunction.from_row(f.group, _climb(f.group, f.row, ladder, [h.index for h in increments]))
 
 
 def heyde_difference_chain(
@@ -202,12 +173,12 @@ def quadratic_candidate(
     """The diagonal parts P(y) = psi1((I+a~)y) + psi2(2 a~ y) and
     Q(y) = psi1(2y) + psi2((I+a~)y) of the independence equation."""
     group = psi1.group
-    v1, v2 = _values(psi1), _values(psi2)
+    v1, v2 = psi1.row, psi2.row
     ident = identity_endomorphism(group)
     i_plus, two_a, two = (ident + alpha_adj).table, (2 * alpha_adj).table, (2 * ident).table
     return (
-        _function(group, [v1[i] + v2[j] for i, j in zip(i_plus, two_a)]),
-        _function(group, [v1[i] + v2[j] for i, j in zip(two, i_plus)]),
+        GroupFunction.from_row(group, [v1[i] + v2[j] for i, j in zip(i_plus, two_a)]),
+        GroupFunction.from_row(group, [v1[i] + v2[j] for i, j in zip(two, i_plus)]),
     )
 
 
@@ -243,7 +214,7 @@ def m_forms_difference_chain(
 def quadratic_check(phi: GroupFunction, tol: float = 1e-9) -> bool:
     """Whether phi(u+v) + phi(u-v) == 2*(phi(u) + phi(v)) for all u, v."""
     group = phi.group
-    vals = _values(phi)
+    vals = phi.row
     neg = group.negation_table()
     for u, pu in enumerate(vals):
         row = group.translation_row(u)
@@ -303,17 +274,19 @@ def _max_residual(
     chains: Sequence[tuple[list[float], tuple]],
     draws: int,
 ) -> tuple[float, tuple[GroupElement, ...]]:
-    """Largest |D_{l3} D_{l2} D_{l1} f| over the chains (f's values, ladder).
+    """Largest |D_{l3} D_{l2} D_{l1} f| over the chains (f's values, ladder),
+    and ``draws`` increments on which the chains replay to it.
 
     A residual depends on the increments only through the ladder values, so
     the exhaustive scan runs over the distinct values of each rung, in
-    element order, and reports the worst ladder values.  Above
-    FULL_ENUMERATION_LIMIT, each of RANDOM_TRIPLES trials, seeded with
-    RANDOM_SEED, draws ``draws`` increments, and the worst trial's first
-    three are reported.
+    element order; each worst rung value maps back to its first preimage in
+    the rung's table, and an increment the worst ladder never reads is 0.
+    Above FULL_ENUMERATION_LIMIT, each of RANDOM_TRIPLES trials, seeded with
+    RANDOM_SEED, draws ``draws`` increments, and the worst trial's are
+    reported.
     """
     n = group.order
-    worst = (0.0, (0, 0, 0))
+    worst, increments = 0.0, [0] * draws
     if n**3 <= FULL_ENUMERATION_LIMIT:
         rows = [group.translation_row(i) for i in range(n)]
         for values, ladder in chains:
@@ -324,8 +297,11 @@ def _max_residual(
                     d2 = _difference(d1, rows[l2])
                     for l3 in threes:
                         r = max(map(abs, _difference(d2, rows[l3])))
-                        if r > worst[0]:
-                            worst = (r, (l1, l2, l3))
+                        if r > worst:
+                            worst, best = r, (ladder, (l1, l2, l3))
+        if worst:
+            for (endo, k), value in zip(*best):
+                increments[k] = endo.table.index(value)
     else:
         rng = random.Random(RANDOM_SEED)
         for _ in range(RANDOM_TRIPLES):
@@ -334,9 +310,9 @@ def _max_residual(
                 max(map(abs, _climb(group, values, ladder, drawn)))
                 for values, ladder in chains
             )
-            if r > worst[0]:
-                worst = (r, tuple(drawn[:3]))
-    return worst[0], tuple(group.elements[i] for i in worst[1])
+            if r > worst:
+                worst, increments = r, drawn
+    return worst, tuple(group.elements[i] for i in increments)
 
 
 def max_chain_residual(
@@ -352,7 +328,7 @@ def max_chain_residual(
     (k1, k2, k3) drawn with RANDOM_SEED.
     """
     ladder1, ladder2 = _heyde_ladder(alpha_adj)
-    chains = [(_values(phi1), ladder1), (_values(phi2), ladder2)]
+    chains = [(phi1.row, ladder1), (phi2.row, ladder2)]
     return _max_residual(phi1.group, chains, 3)
 
 
@@ -362,18 +338,18 @@ def max_m_forms_residual(
     alpha_adj: Endomorphism,
 ) -> tuple[float, tuple[GroupElement, ...]]:
     """Largest independence-chain residual over increments, as in
-    :func:`max_chain_residual`; random trials draw (h1, h2, h, k) of
-    :func:`m_forms_difference_chain` and report (h1, h2, h)."""
+    :func:`max_chain_residual`, reporting the increments (h1, h2, h, k) of
+    :func:`m_forms_difference_chain`."""
     p, q = quadratic_candidate(psi1, psi2, alpha_adj)
     ladder_p, ladder_q = _m_forms_ladder(alpha_adj)
-    chains = [(_values(p), ladder_p), (_values(q), ladder_q)]
+    chains = [(p.row, ladder_p), (q.row, ladder_q)]
     return _max_residual(psi1.group, chains, 4)
 
 
 def max_third_difference(f: GroupFunction) -> float:
     """max over h, y of |D_h^3 f(y)|."""
     group = f.group
-    base = _values(f)
+    base = f.row
     worst = 0.0
     for h in range(group.order):
         row = group.translation_row(h)

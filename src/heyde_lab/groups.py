@@ -64,7 +64,7 @@ class FiniteAbelianGroup:
     """Z_{n_1} x ... x Z_{n_k} with a fixed lexicographic element order."""
 
     def __init__(self, cyclic_orders: Sequence[int]):
-        orders = tuple(int(n) for n in cyclic_orders)
+        orders = tuple(map(operator.index, cyclic_orders))
         if not orders:
             raise ValueError("at least one cyclic factor is required")
         for n in orders:
@@ -101,7 +101,7 @@ class FiniteAbelianGroup:
         return "Z" + "xZ".join(str(n) for n in self.cyclic_orders)
 
     def element(self, coords: Iterable[int]) -> GroupElement:
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(operator.index, coords))
         if len(coords) != self.rank:
             raise ValueError(
                 f"expected {self.rank} coordinates, got {len(coords)}"
@@ -375,7 +375,7 @@ class Endomorphism:
 
     def __init__(self, group: FiniteAbelianGroup, matrix: Sequence[Sequence[int]]):
         k = group.rank
-        rows = [tuple(int(v) for v in row) for row in matrix]
+        rows = [tuple(map(operator.index, row)) for row in matrix]
         if len(rows) != k or any(len(r) != k for r in rows):
             raise ValueError(f"matrix must be {k}x{k} for this group")
         orders = group.cyclic_orders

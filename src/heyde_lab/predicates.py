@@ -256,9 +256,13 @@ def independence_equation_check(inst: FormsInstance, tol: float = CHAR_TOL) -> b
         for coeff in (inst.alpha1, inst.alpha2, inst.beta1, inst.beta2)
     )
     b_terms = [(v1, v2, f1[v1], f2[v2]) for v1, v2 in zip(b1, b2)]
+    last1 = last2 = None
     for u1, u2 in zip(a1, a2):
-        row1 = group.translation_row(u1)
-        row2 = group.translation_row(u2)
+        # consecutive u often share a value (a zero adjoint repeats 0), so reuse its row
+        if u1 != last1:
+            row1, last1 = group.translation_row(u1), u1
+        if u2 != last2:
+            row2, last2 = group.translation_row(u2), u2
         fu = f1[u1] * f2[u2]
         for v1, v2, g1, g2 in b_terms:
             if abs(f1[row1[v1]] * f2[row2[v2]] - fu * g1 * g2) > tol:

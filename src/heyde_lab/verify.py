@@ -342,11 +342,8 @@ def suite_quadratic(seed: int = 0, trials: int = 200) -> SuiteResult:
             failures.append(f"{group}: scaling record invalid")
     group = make_group([9])
     for i in range(trials):
-        values = {y: 0.0 for y in group.elements}
-        for y in group.elements:
-            if not y.is_zero:
-                values[y] = rng.uniform(-1, 1)
-        f = GroupFunction(group, values)
+        values = [0.0] + [rng.uniform(-1, 1) for _ in range(group.order - 1)]
+        f = GroupFunction.from_row(group, values)
         checks += 1
         if quadratic_check(f) and f.max_abs() > 1e-9:
             failures.append(f"trial {i}: nonzero quadratic solution found")

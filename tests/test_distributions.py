@@ -13,6 +13,7 @@ from heyde_lab.distributions import (
     accumulate,
     CharFunction,
     Distribution,
+    GroupFunction,
     InvalidCharFunctionError,
     char_function,
     char_values_list,
@@ -37,6 +38,7 @@ from heyde_lab.distributions import (
 )
 from heyde_lab.groups import (
     Endomorphism,
+    GroupElement,
     annihilator,
     character,
     make_group,
@@ -579,3 +581,91 @@ def test_sample_tv_convergence():
     count = 100_000
     emp = empirical_distribution(g7, sample(mu, count, seed=3))
     assert float(total_variation(emp, mu)) < 4 * math.sqrt(g7.order / count)
+
+
+# ---------------------------------------------------------------------------
+# functions on a group as rows
+# ---------------------------------------------------------------------------
+
+
+def test_group_function_row_view_and_constructors():
+    """The mapping constructor and from_row build equal functions; values is
+    a read-only view equal to the mapping; the totality check covers both."""
+    g = make_group([2, 3])
+    mapping = {y: float(y.index) ** 2 for y in reversed(g.elements)}
+    f = GroupFunction(g, mapping)
+    assert f.row == [float(i) ** 2 for i in range(g.order)]
+    assert f == GroupFunction.from_row(g, f.row) and f.values == mapping
+    assert f(elem(g, 1, 2)) == 25.0 and f.max_abs() == 25.0
+    with pytest.raises(TypeError):
+        f.values[g.zero] = 1.0  # type: ignore[index]
+    assert f != CharFunction.from_row(g, [1.0] + [0.0] * 5)
+    missing = dict(mapping)
+    del missing[g.zero]
+    extra = {**missing, elem(make_group([6]), 0): 0.0}
+    for bad in (missing, extra):
+        with pytest.raises(ValueError, match="defined on every element"):
+            GroupFunction(g, bad)
+    with pytest.raises(ValueError, match="defined on every element"):
+        GroupFunction.from_row(g, [0.0] * 5)
+
+
+def test_group_function_rejects_elements_of_unequal_groups():
+    g4 = make_group([4])
+    f = GroupFunction.from_row(g4, [0.0, 1.0, 2.0, 3.0])
+    assert f(make_group([4]).element([3])) == 3.0  # an equal group
+    with pytest.raises(KeyError):
+        f(make_group([2, 2]).element([1, 1]))
+
+
+@pytest.mark.parametrize("kind", ["function", "char"])
+def test_group_function_pickle_and_deepcopy_after_view(kind):
+    g = make_group([3, 3])
+    if kind == "char":
+        mu = make_distribution(g, {elem(g, 0, 1): Fraction(1, 3), elem(g, 2, 2): Fraction(2, 3)})
+        f = char_function(mu)
+    else:
+        f = GroupFunction.from_row(g, [random.Random(1).uniform(-1, 1) for _ in g.elements])
+    assert f.values[elem(g, 1, 1)] == f.row[4]
+    for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert type(copied) is type(f) and copied == f
+        assert copied.values == f.values
+
+
+def test_hermitian_failure_names_the_element_on_z4xz2():
+    """The check pairs each element with its negative through the negation
+    table: (1,1) and (3,1) are each other's negatives."""
+    g = make_group([4, 2])
+    row = [1.0 + 0j] + [0j] * 7
+    row[g.element([1, 1]).index] = 0.5 + 0j
+    row[g.element([3, 1]).index] = 0.25 + 0j
+    with pytest.raises(ValueError, match=r"hermitian symmetry violated at \(1,1\)$"):
+        CharFunction.from_row(g, row)
+    with pytest.raises(ValueError, match=r"hermitian symmetry violated at \(1,1\)$"):
+        CharFunction(g, dict(zip(reversed(g.elements), reversed(row))))
+    row[g.element([3, 1]).index] = 0.5 + 0j
+    assert CharFunction.from_row(g, row).row == row
+
+
+def test_char_function_readers_call_no_element_operator(monkeypatch):
+    """Building, inverting and taking the unit level set of a characteristic
+    function, a nonclosed level set included, run on rows and index tables."""
+    g = make_group([4, 2])
+    calls = []
+    for name in ("__add__", "__sub__", "__neg__", "__rmul__"):
+        original = getattr(GroupElement, name)
+        monkeypatch.setattr(
+            GroupElement, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    sub = subgroup_generated(g, [elem(g, 2, 1)])
+    mu = haar_on(sub)
+    calls.clear()
+    f = char_function(mu)
+    assert CharFunction(g, dict(f.values)) == f
+    assert distribution_from_char(f) == mu
+    assert one_set(f).elements == annihilator(sub).elements
+    values = {y: 0j for y in g.elements}
+    values.update({g.zero: 1 + 0j, elem(g, 1, 0): 1 + 0j, elem(g, 3, 0): 1 + 0j})
+    with pytest.raises(InvalidCharFunctionError, match=r"generates \(2,0\), which it lacks"):
+        one_set(CharFunction(g, values))
+    assert calls == []

@@ -409,3 +409,31 @@ def test_chain_layer_matches_element_arithmetic(orders, monkeypatch):
         assert m.residual_q.values == reference_climb(
             ref_q, [-(a(h1) + a(h1)), -(h2 + a(h2)), k]
         )
+
+
+# ---------------------------------------------------------------------------
+# reported increments replay
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [5, 47])
+def test_worst_increments_replay_to_the_reported_residual(order, monkeypatch):
+    """Both scans report every increment of their chain, and the chains
+    evaluated there reach exactly the reported residual: the exhaustive scan
+    on Z5, seeded random triples on Z47."""
+    monkeypatch.setattr(funceq, "RANDOM_TRIPLES", 200)
+    group = make_group([order])
+    mu1 = make_distribution(group, {elem(group, 0): Fraction(2, 3), elem(group, 1): Fraction(1, 3)})
+    mu2 = make_distribution(group, {elem(group, 0): Fraction(1, 2), elem(group, 2): Fraction(1, 2)})
+    phi1, phi2 = neg_log_char(symmetrize(mu1)), neg_log_char(symmetrize(mu2))
+    adj = scaling_endomorphism(group, 2).adjoint()
+
+    worst, increments = max_chain_residual(phi1, phi2, adj)
+    assert worst > 1e-3 and len(increments) == 3
+    r1, r2 = heyde_difference_chain(phi1, phi2, adj, *increments)
+    assert max(r1.max_abs(), r2.max_abs()) == worst
+
+    worst, increments = max_m_forms_residual(phi1, phi2, adj)
+    assert worst > 1e-3 and len(increments) == 4
+    m = m_forms_difference_chain(phi1, phi2, adj, *increments)
+    assert max(m.residual_p.max_abs(), m.residual_q.max_abs()) == worst

@@ -56,6 +56,20 @@ def test_make_group_rejects_small_factor():
         make_group([])
 
 
+def test_constructors_reject_non_integers():
+    """Orders, coordinates and matrix entries must be integers, not values
+    that truncate to one."""
+    with pytest.raises(TypeError):
+        make_group([9.5])
+    g9 = make_group([np.int64(9)])
+    assert g9 == make_group([9])
+    with pytest.raises(TypeError):
+        g9.element([1.7])
+    with pytest.raises(TypeError):
+        make_endomorphism(g9, [[2.9]])
+    assert make_endomorphism(g9, [[np.int64(2)]]).matrix == ((2,),)
+
+
 def test_make_group_rejects_over_cap():
     with pytest.raises(ValueError):
         make_group([1001, 1000])

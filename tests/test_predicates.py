@@ -19,6 +19,7 @@ from heyde_lab.distributions import (
 )
 from heyde_lab.groups import (
     Endomorphism,
+    FiniteAbelianGroup,
     identity_endomorphism,
     make_endomorphism,
     make_group,
@@ -610,3 +611,20 @@ def test_sweeps_match_direct_loops(orders):
     # on a group of exponent 2 every pair is symmetric
     assert verdicts["heyde"] == ({True} if group.exponent == 2 else {True, False})
     assert verdicts["independence"] == {True, False}
+
+
+def test_independence_check_reuses_the_previous_translation_row(monkeypatch):
+    """With alpha = -I the derived forms' first coefficient is 0, so its
+    adjoint repeats u1 = 0: one row for it and one per u2, not two per u."""
+    g9 = make_group([9])
+    mu = make_distribution(g9, {g9.element([1]): Fraction(1, 3), g9.element([4]): Fraction(2, 3)})
+    derived = derived_forms_instance(
+        canonical_instance(g9, neg_identity_endomorphism(g9), mu, mu)
+    )
+    calls = []
+    original = FiniteAbelianGroup.translation_row
+    monkeypatch.setattr(
+        FiniteAbelianGroup, "translation_row", lambda self, i: calls.append(i) or original(self, i)
+    )
+    assert independence_equation_check(derived)
+    assert len(calls) == 1 + g9.order
