@@ -12,8 +12,9 @@ identical manifests produce byte-identical reports.  Set
 HEYDE_LAB_TIMESTAMP to pin the manifest timestamp for reproducible output.
 
 Exit codes: 0 verdict-true/pass, 1 verdict-false/fail, 2 usage or schema
-error, 3 internal disagreement between an exact predicate and its
-tolerance-based counterpart.
+error (an alpha that is not an automorphism included), 3 internal
+disagreement between an exact predicate and its tolerance-based
+counterpart.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .predicates import (
     derived_forms_instance,
     heyde_equation_check,
     independence_equation_check,
-    obstruction_kernel,
 )
 from .search import (
     SearchConfig,
@@ -112,14 +112,8 @@ def cmd_check(args: argparse.Namespace, out: TextIO) -> int:
         "check", [args.instance], {"tolerance": args.tolerance}
     )
     instance = instance_from_json(_load_json(args.instance))
-    canonicalized = not instance.is_canonical
-    if canonicalized:
-        result = canonicalize(instance)
-        canonical = result.instance
-        kernel = result.kernel
-    else:
-        canonical = instance
-        kernel = obstruction_kernel(canonical.beta2)
+    result = canonicalize(instance)
+    canonical, kernel = result.instance, result.kernel
 
     witness = conditional_symmetry_witness(canonical)
     symmetric = witness is None
@@ -150,7 +144,7 @@ def cmd_check(args: argparse.Namespace, out: TextIO) -> int:
         "eq4": eq4,
         "classifications": {"mu1": class1, "mu2": class2},
         "kernel": [list(e.coords) for e in kernel],
-        "canonicalized": canonicalized,
+        "canonicalized": not instance.is_canonical,
         "alpha_prime": endomorphism_to_json(canonical.beta2),
         "tags": tags,
         "agreement": agreement,

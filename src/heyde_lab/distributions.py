@@ -10,7 +10,8 @@ validated on integer numerators over one common denominator by
 :func:`accumulate`.  A ``GroupFunction`` is held as ``row``, its values in
 element order, and viewed as a dict keyed by element; a ``CharFunction``
 (group Fourier transform) adds its checks to one: complex doubles, summed
-from one row of character values per support point, with a tolerance.
+from one row of character values per support point, with a tolerance; the
+inversion conjugates the same sums taken over the conjugated values.
 Whenever a question can be decided in probability space it is decided there.
 """
 
@@ -178,18 +179,18 @@ class CharFunction(GroupFunction):
 
     Validated on construction: value 1 at the identity (within
     CHAR_ONE_TOL), modulus at most 1, and hermitian symmetry
-    f(-y) = conj(f(y)) within CHAR_TOL.
+    f(-y) = conj(f(y)) within CHAR_TOL; a NaN value fails them.
     """
 
     @classmethod
     def from_row(cls, group: FiniteAbelianGroup, row: Sequence) -> CharFunction:
         f = super().from_row(group, row)
-        if abs(row[0] - 1.0) > CHAR_ONE_TOL:
+        if not abs(row[0] - 1.0) <= CHAR_ONE_TOL:
             raise ValueError(f"value at 0 is {row[0]}, expected 1")
         for y, v, minus_y in zip(group.elements, row, group.negation_table()):
-            if abs(v) > 1 + CHAR_ONE_TOL:
+            if not abs(v) <= 1 + CHAR_ONE_TOL:
                 raise ValueError(f"modulus exceeds 1 at {y}: {v}")
-            if abs(row[minus_y] - v.conjugate()) > CHAR_TOL:
+            if not abs(row[minus_y] - v.conjugate()) <= CHAR_TOL:
                 raise ValueError(f"hermitian symmetry violated at {y}")
         return f
 
@@ -280,21 +281,27 @@ def char_function(mu: Distribution) -> CharFunction:
     return CharFunction.from_row(mu.group, char_values_list(mu))
 
 
+def _character_sums(group: FiniteAbelianGroup, terms: Iterable[tuple]) -> list[complex]:
+    """sum of c * (x, y) over the (index of x, c) terms, for each element y in order."""
+    out = [0j] * group.order
+    for i, c in terms:
+        out = [acc + c * z for acc, z in zip(out, group.character_row(group.elements[i]))]
+    return out
+
+
 def char_values_list(mu: Distribution) -> list[complex]:
     """Characteristic values in lexicographic element order (no validation)."""
-    group, d = mu.group, mu.denominator
-    out = [0j] * group.order
-    for x, w in zip(mu.support(), mu.numerators):
-        # int true division rounds correctly, as float(Fraction(w, d)) does
-        p = w / d
-        out = [acc + p * c for acc, c in zip(out, group.character_row(x))]
+    d = mu.denominator
+    # int true division rounds correctly, as float(Fraction(w, d)) does
+    out = _character_sums(mu.group, ((i, w / d) for i, w in zip(mu.indices, mu.numerators)))
     # the identity character sums the weights exactly
     out[0] = complex(1.0, 0.0)
     return out
 
 
 def distribution_from_char(f: CharFunction) -> Distribution:
-    """Invert via (1/|X|) * sum_y f(y) * conj((x, y)), snapping to rationals.
+    """Invert via (1/|X|) * sum_y f(y) * conj((x, y)), snapping to rationals;
+    the pairing is symmetric, so that sum conjugates the forward one of conj(f).
 
     Masses within CHAR_TOL of a rational with denominator at most
     SNAP_DENOMINATOR_CAP are snapped to it; anything else is kept as the
@@ -303,14 +310,11 @@ def distribution_from_char(f: CharFunction) -> Distribution:
     InvalidCharFunctionError when a mass is negative beyond tolerance or
     has a non-real component.
     """
-    group, row = f.group, f.row
-    n = group.order
+    group, n = f.group, f.group.order
+    sums = _character_sums(group, enumerate(v.conjugate() for v in f.row))
     masses: dict[int, Fraction] = {}
-    for x in group.elements:
-        acc = 0j
-        for v, c in zip(row, group.character_row(x)):
-            acc += v * c.conjugate()
-        acc /= n
+    for x, acc in zip(group.elements, sums):
+        acc = acc.conjugate() / n
         if abs(acc.imag) > CHAR_TOL:
             raise InvalidCharFunctionError(
                 f"inversion produced non-real mass {acc} at {x}"

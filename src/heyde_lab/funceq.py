@@ -219,7 +219,7 @@ def quadratic_check(phi: GroupFunction, tol: float = 1e-9) -> bool:
     for u, pu in enumerate(vals):
         row = group.translation_row(u)
         for v, minus_v in enumerate(neg):
-            if abs(vals[row[v]] + vals[row[minus_v]] - 2.0 * (pu + vals[v])) > tol:
+            if not abs(vals[row[v]] + vals[row[minus_v]] - 2.0 * (pu + vals[v])) <= tol:
                 return False
     return True
 

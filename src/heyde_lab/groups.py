@@ -14,9 +14,10 @@ digit sums of the group's columns [e * s_m for e < n_m], each rotated by
 i's digit m.  ``group.elements[i]`` is the one instance of element i, with i
 as its ``index``; ``element()`` and every operation return it via
 ``_reduce``.  An endomorphism's table of image indices is a digit sum, and
-``is_auto``, the kernel, image and inverse are read off it; a character's
-row indexes the root table with digit sums of exponents reduced per
-coordinate.  A subgroup is held as its element set.  ``Subgroup(parent,
+``is_auto``, the kernel, image and inverse are read off it.  The group keeps
+one table of the e roots of unity, e its exponent; ``root_of_unity(t)`` and
+a character's row, digit sums of exponents reduced per coordinate, read it
+at t mod e.  A subgroup is held as its element set.  ``Subgroup(parent,
 elements)`` validates elements from outside the algebra; ``Subgroup._closed``
 trusts a closure, kernel, image or annihilator, which algebra built closed.
 An annihilator keeps the y of pairing exponent 0 against every x in K.
@@ -37,8 +38,6 @@ ENUMERATION_CAP = 10**6
 #: Numeric tolerance for character comparisons; the integer congruence is
 #: always consulted as the authoritative answer.
 PAIRING_TOL = 1e-9
-
-_ROOT_TABLE_MAX = 4096
 
 
 class IncompatibleMatrixError(ValueError):
@@ -154,29 +153,24 @@ class FiniteAbelianGroup:
         return t % self.exponent
 
     def _root_table(self) -> tuple[complex, ...]:
-        """exp(2*pi*i*k / exponent) for k < rank * exponent: a digit sum of reduced exponents indexes it."""
+        """exp(2*pi*i*k / exponent) for k < exponent, built once per group."""
         if self._roots is None:
             e = self.exponent
-            self._roots = tuple(cmath.exp(2j * math.pi * k / e) for k in range(e)) * self.rank
+            self._roots = tuple(cmath.exp(2j * math.pi * k / e) for k in range(e))
         return self._roots
 
     def root_of_unity(self, t: int) -> complex:
         """exp(2*pi*i*t / exponent)."""
-        t %= self.exponent
-        if self.exponent <= _ROOT_TABLE_MAX:
-            return self._root_table()[t]
-        return cmath.exp(2j * math.pi * t / self.exponent)
+        return self._root_table()[t % self.exponent]
 
     def character_row(self, x: GroupElement) -> list[complex]:
         """character(x, y) for each element y, in element order."""
-        e = self.exponent
+        e, roots = self.exponent, self._root_table()
         exponents = _digit_sums(
             [a * w * k % e for k in range(n)]
             for a, n, w in zip(x.coords, self.cyclic_orders, self._pair_weights)
         )
-        if e > _ROOT_TABLE_MAX:
-            return list(map(self.root_of_unity, exponents))
-        return list(map(self._root_table().__getitem__, exponents))
+        return [roots[t % e] for t in exponents]
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -7,9 +7,10 @@ shape has a1 = a2 = b1 = I, so L1 = x1 + x2 and L2 = x1 + alpha*x2.
 
 Conditional symmetry of L2 given L1 and independence of two forms are
 decided exactly on the integer numerators of the joint law of (L1, L2);
-the characteristic-function equations, evaluated at a tolerance,
-corroborate them, and any disagreement between an exact predicate and its
-characteristic-function counterpart is a hard error upstream.
+the characteristic-function equations, evaluated at a tolerance that a
+NaN residual or tolerance fails, corroborate them, and any disagreement
+between an exact predicate and its characteristic-function counterpart is
+a hard error upstream.
 :func:`obstruction_kernel` builds Ker(I + alpha) for every caller.
 """
 
@@ -202,7 +203,7 @@ def heyde_equation_check(inst: FormsInstance, tol: float = CHAR_TOL) -> bool:
         row = group.translation_row(u)
         lhs = [f1[s] * f2[row[av]] for s, av in zip(row, adj)]
         for v, minus_v in pairs:
-            if abs(lhs[v] - lhs[minus_v]) > tol:
+            if not abs(lhs[v] - lhs[minus_v]) <= tol:
                 return False
     return True
 
@@ -265,7 +266,7 @@ def independence_equation_check(inst: FormsInstance, tol: float = CHAR_TOL) -> b
             row2, last2 = group.translation_row(u2), u2
         fu = f1[u1] * f2[u2]
         for v1, v2, g1, g2 in b_terms:
-            if abs(f1[row1[v1]] * f2[row2[v2]] - fu * g1 * g2) > tol:
+            if not abs(f1[row1[v1]] * f2[row2[v2]] - fu * g1 * g2) <= tol:
                 return False
     return True
 
@@ -306,10 +307,12 @@ def canonicalize(inst: FormsInstance) -> CanonicalizationResult:
     by a1 * b1^{-1} turns the pair into L1' = y1 + y2, L2' = y1 + alpha' y2
     with alpha' = a1 b1^{-1} b2 a2^{-1}; conditional symmetry is exactly
     preserved.  Also reports Ker(I + alpha'), the obstruction subgroup for
-    the characterization.
+    the characterization, which assumes alpha' to be an automorphism: it is
+    one exactly when b2 is, so all four coefficients must be.  A canonical
+    instance comes back with alpha' = alpha (its beta2) and equal laws.
     """
-    for name, coeff in (("alpha1", inst.alpha1), ("alpha2", inst.alpha2), ("beta1", inst.beta1)):
-        if not coeff.is_auto:
+    for name in ("alpha1", "alpha2", "beta1", "beta2"):
+        if not getattr(inst, name).is_auto:
             raise ValueError(f"canonicalization requires {name} to be an automorphism")
     alpha_prime = (
         inst.alpha1

@@ -5,12 +5,13 @@ iid pair supported inside Ker(I + alpha) (where alpha acts as negation),
 and any pair supported inside the subgroup generated by the order-2
 elements (where every value equals its own negative).  The grid scan
 enumerates exact-rational distribution pairs up to configurable support and
-denominator caps (plus all shifted uniform-on-subgroup candidates and a
-batch of random pairs), decides symmetry exactly for each pair, and
-classifies every symmetric hit.  Both phases of the scan decide symmetry
-with one kernel over element indices: a support pair is feasible when its
-set of occupied joint-cell keys contains the mirror of each (one rule,
-key + flip[t], turns the cell (s, t) into (s, -t)), and a feasible
+denominator caps (plus one uniform candidate per coset of each larger
+subgroup, and a batch of random pairs), decides symmetry exactly for each
+pair, and classifies every symmetric hit; like the theorem, it takes alpha
+to be an automorphism and refuses any other map.  Both phases of the scan decide
+symmetry with one kernel over element indices: a support pair is feasible
+when its set of occupied joint-cell keys contains the mirror of each (one
+rule, key + flip[t], turns the cell (s, t) into (s, -t)), and a feasible
 pair is symmetric when the joint weights of each cell and its mirror agree,
 summed from integer weight vectors on the grid and from each drawn law's
 integer numerators in the random phase.  Every random-phase hit is
@@ -347,24 +348,15 @@ class ScanResult:
         return any("red-alert-nonidempotent" in r.tags for r in self.hits)
 
 
-def _idempotent_candidates(
-    group: FiniteAbelianGroup, max_size: int
-) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """Uniform-on-coset candidates larger than the grid's max_size."""
-    extras: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+def _idempotent_candidates(group: FiniteAbelianGroup, max_size: int) -> list[tuple[int, ...]]:
+    """Supports of the uniform-on-coset candidates, the cosets larger than the
+    grid's max_size; a coset determines its subgroup, so each comes once."""
+    cosets = set()
     for sub in all_subgroups(group):
-        size = len(sub)
-        if size <= max_size:
-            continue
-        rows = [group.translation_row(e.index) for e in sub]
-        seen = set()
-        for x in range(group.order):
-            coset = tuple(sorted(row[x] for row in rows))
-            if coset in seen:
-                continue
-            seen.add(coset)
-            extras.setdefault(coset, []).append((1,) * size)
-    return extras
+        if len(sub) > max_size:
+            rows = [group.translation_row(e.index) for e in sub]
+            cosets.update(tuple(sorted(row[x] for row in rows)) for x in range(group.order))
+    return list(cosets)
 
 
 def grid_scan(
@@ -382,7 +374,8 @@ def grid_scan(
     pairs.  The random phase draws config.random_trials pairs in seeded
     partitions, reads each as its index support with its integer numerators,
     and confirms every hit with the exact predicate, raising RuntimeError on
-    a disagreement.  More than MAX_HITS hits raise SearchSpaceError.
+    a disagreement.  More than MAX_HITS hits raise SearchSpaceError, and an
+    alpha that is not an automorphism, outside the theorem, ValueError.
     Deterministic given (seed, caps).
     """
     if alpha.group != group:
@@ -390,6 +383,9 @@ def grid_scan(
     n = group.order
     if n > MAX_SCAN_ORDER:
         raise SearchSpaceError(f"group order {n} exceeds scan bound {MAX_SCAN_ORDER}")
+    if not alpha.is_auto:
+        matrix = [list(row) for row in alpha.matrix]
+        raise ValueError(f"alpha must be an automorphism, and {matrix} is not one")
 
     # a support of m points needs a denominator of at least m
     cap = config.denominator_cap
@@ -410,12 +406,14 @@ def grid_scan(
         )
     weights_by_size = {m: [w for w, _ in weight_vectors(m, cap)] for m in sizes}
 
-    candidates: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for m, vecs in weights_by_size.items():
-        for support in combinations(range(n), m):
-            candidates[support] = list(vecs)
-    for support, vecs in _idempotent_candidates(group, max_size).items():
-        candidates.setdefault(support, []).extend(vecs)
+    # supports of one size share their weight list; a coset carries uniform weights
+    candidates = {
+        support: vecs
+        for m, vecs in weights_by_size.items()
+        for support in combinations(range(n), m)
+    }
+    for coset in _idempotent_candidates(group, max_size):
+        candidates[coset] = [(1,) * len(coset)]
 
     total_candidates = sum(len(v) for v in candidates.values())
     if total_candidates**2 + config.random_trials > MAX_CANDIDATES:

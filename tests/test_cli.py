@@ -262,6 +262,44 @@ def test_check_general_instance_canonicalizes(tmp_path):
     assert code in (0, 1)
 
 
+def test_check_refuses_non_automorphism_alpha(tmp_path, capsys):
+    """Z5 with alpha = 0 and two point masses is outside the theorem: L2 = x1
+    does not depend on x2.  The check refuses it rather than tag the pair
+    theoremB-consistent."""
+    payload = {
+        "group": {"cyclic_orders": [5]},
+        "alpha": {"matrix": [[0]]},
+        "mu1": {"probs": {"0": "1/1"}},
+        "mu2": {"probs": {"2": "1/1"}},
+    }
+    assert run_cli(["check", write(tmp_path, "inst.json", payload)]) == (2, "")
+    assert "requires beta2 to be an automorphism" in capsys.readouterr().err
+    # with alpha = 2, L2 = 4 is not -L2, and the check decides it
+    path = write(tmp_path, "ok.json", dict(payload, alpha={"matrix": [[2]]}))
+    code, output = run_cli(["check", path])
+    assert code == 1 and json.loads(output)["witness"] == {"s": "2", "t": "4"}
+
+
+def test_check_refuses_non_automorphism_beta2(tmp_path, capsys):
+    """A general instance whose alpha' = a1 b1^-1 b2 a2^-1 is not an
+    automorphism, because b2 = 3 on Z9 is not, exits 2; so does a
+    non-automorphism a1."""
+    payload = {
+        "group": {"cyclic_orders": [9]},
+        "alpha1": {"matrix": [[2]]},
+        "alpha2": {"matrix": [[4]]},
+        "beta1": {"matrix": [[1]]},
+        "beta2": {"matrix": [[3]]},
+        "mu1": {"probs": {"0": "1/2", "1": "1/2"}},
+        "mu2": {"probs": {"0": "1/3", "2": "2/3"}},
+    }
+    assert run_cli(["check", write(tmp_path, "b2.json", payload)]) == (2, "")
+    assert "requires beta2 to be an automorphism" in capsys.readouterr().err
+    payload.update(alpha1={"matrix": [[6]]}, beta2={"matrix": [[5]]})
+    assert run_cli(["check", write(tmp_path, "a1.json", payload)]) == (2, "")
+    assert "requires alpha1 to be an automorphism" in capsys.readouterr().err
+
+
 def test_check_deterministic_output(tmp_path):
     path = write(tmp_path, "inst.json", KERNEL_INSTANCE)
     _code1, out1 = run_cli(["check", path])
@@ -384,6 +422,20 @@ def test_search_refuses_large_subgroup_lattice(tmp_path, capsys):
     argv = ["--support-cap", "1", "--denominator-cap", "1", "--trials", "0"]
     assert run_cli(["search", group, alpha, *argv]) == (2, "")
     assert "search space of 26387^2 pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order, a", [(5, 0), (9, 3)])
+def test_search_refuses_non_automorphism_alpha(tmp_path, capsys, order, a):
+    """alpha = 0 on Z5 and alpha = 3 on Z9 are not automorphisms; a scan of
+    either used to raise a red alert for a theorem that does not apply."""
+    group = write(tmp_path, "g.json", {"cyclic_orders": [order]})
+    alpha = write(tmp_path, "a.json", {"matrix": [[a]]})
+    argv = ["--seed", "0", "--trials", "2000"]
+    assert run_cli(["search", group, alpha, *argv]) == (2, "")
+    assert f"[[{a}]] is not one" in capsys.readouterr().err
+    z = make_group([order])
+    with pytest.raises(ValueError, match="must be an automorphism"):
+        search.grid_scan(z, scaling_endomorphism(z, a), search.SearchConfig(random_trials=0))
 
 
 def test_search_output_pinned(tmp_path, monkeypatch):

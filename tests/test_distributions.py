@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 
 from heyde_lab.distributions import (
+    CHAR_TOL,
+    SNAP_DENOMINATOR_CAP,
     AmbiguousCharValueError,
     accumulate,
     CharFunction,
@@ -386,6 +388,62 @@ def _oracle_invert(f: CharFunction):
     return out
 
 
+def _loop_inversion(f: CharFunction):
+    """distribution_from_char as one loop per element x over the row, one
+    conjugated character value per entry; a refusal is returned as its
+    exception type and message."""
+    group = f.group
+    masses = {}
+    for x in group.elements:
+        acc = 0j
+        for v, c in zip(f.row, group.character_row(x)):
+            acc += v * c.conjugate()
+        acc /= group.order
+        if abs(acc.imag) > CHAR_TOL:
+            return InvalidCharFunctionError, f"inversion produced non-real mass {acc} at {x}"
+        if acc.real < -CHAR_TOL:
+            return InvalidCharFunctionError, f"inversion produced negative mass {acc.real} at {x}"
+        if acc.real > 0:
+            snapped = Fraction(acc.real).limit_denominator(SNAP_DENOMINATOR_CAP)
+            close = abs(float(snapped) - acc.real) <= CHAR_TOL
+            masses[x] = snapped if close else Fraction(acc.real)
+    total = sum(masses.values())
+    return Distribution(group, {x: p / total for x, p in masses.items()})
+
+
+def _inversion(f: CharFunction):
+    try:
+        return distribution_from_char(f)
+    except InvalidCharFunctionError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("orders", [[5], [9], [3, 3], [4, 2], [12], [2, 2, 2], [27, 9]])
+def test_inversion_equals_the_per_element_loop(orders):
+    """Rational rows invert to the law they came from, and rows shrunk off
+    it (by up to 1e-6, hermitian) to the same exact binary masses, or the
+    same refusal, as the loop over x: the masses are the same floats."""
+    group = make_group(orders)
+    rng = random.Random(str(orders))
+    neg = group.negation_table()
+    full = Distribution.from_weights(group, range(group.order), [rng.randint(1, 9) for _ in neg])
+    for mu in [full, point_mass(group, group.elements[-1]), random_distribution(group, rng, 4, 9)]:
+        f = char_function(mu)
+        assert _inversion(f) == _loop_inversion(f) == mu
+        row = list(f.row)
+        for y, minus_y in enumerate(neg):
+            if 0 < y <= minus_y:
+                row[y] *= 1 - rng.uniform(0, 1e-6)
+                row[minus_y] = row[y].conjugate()
+        perturbed = CharFunction.from_row(group, row)
+        assert _inversion(perturbed) == _loop_inversion(perturbed)
+        assert mu is not full or isinstance(_inversion(perturbed), Distribution)
+    # 1 at 0 and -1 elsewhere puts the mass (2 - |X|) / |X| at 0
+    negative = CharFunction.from_row(group, [1.0] + [-1.0] * (group.order - 1))
+    assert _inversion(negative) == _loop_inversion(negative)
+    assert _inversion(negative)[0] is InvalidCharFunctionError
+
+
 def test_round_trip_point_and_uniform():
     g5 = make_group([5])
     e0 = point_mass(g5, elem(g5, 0))
@@ -420,6 +478,22 @@ def test_char_function_validation():
         CharFunction(
             g3, {elem(g3, 0): 1 + 0j, elem(g3, 1): 1 + 0j, elem(g3, 2): 0j}
         )
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1, math.nan, math.nan],
+        [math.nan, 1, 1],
+        [1, 0.5, complex(math.nan, 0)],
+        [1, complex(0, math.nan), 0.5],
+    ],
+)
+def test_char_function_refuses_nan(values):
+    """A NaN compares false with every tolerance, so each check fails on it."""
+    g3 = make_group([3])
+    with pytest.raises(ValueError):
+        CharFunction(g3, dict(zip(g3.elements, values)))
 
 
 # ---------------------------------------------------------------------------

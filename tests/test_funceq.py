@@ -289,6 +289,13 @@ def test_quadratic_check_indicator_counterexample():
     assert not quadratic_check(phi)
 
 
+def test_quadratic_check_fails_at_a_nan_tolerance():
+    """The indicator of 0 is not quadratic, and no residual is within NaN."""
+    phi = indicator_of_zero(make_group([5]))
+    assert not quadratic_check(phi, tol=math.nan)
+    assert not quadratic_check(zero_function(make_group([5])), tol=math.nan)
+
+
 def test_quadratic_check_true_quadratic_on_reals_fails_mod_n():
     """y -> y^2 mod the residue lift is not a solution: wrap-around breaks
     the identity, as the vanishing record predicts."""

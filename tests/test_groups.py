@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, given
 
 from heyde_lab.groups import (
-    _ROOT_TABLE_MAX,
     Endomorphism,
     IncompatibleMatrixError,
     Subgroup,
@@ -170,14 +169,25 @@ def test_character_group_mismatch():
 
 @pytest.mark.parametrize("orders", [[4, 2], [9, 3], [3, 3, 3], [4099]])
 def test_character_row_equals_character(orders):
-    """A character row is the same floats as character() per element, from
-    the root table and, above _ROOT_TABLE_MAX (4099 here), from cmath."""
+    """A character row is the same floats as character() per element, both
+    read off the group's one root table."""
     group = make_group(orders)
     elements = group.elements
-    assert (group.exponent > _ROOT_TABLE_MAX) == (orders == [4099])
     picks = elements if group.order < 100 else [elements[i] for i in (1, 2, 1000, 4098)]
     for x in picks:
         assert group.character_row(x) == [character(x, y) for y in elements]
+
+
+def test_root_of_unity_is_cmath_at_the_reduced_exponent():
+    """On Z4099 each root, read at t % e, is the float cmath.exp gives for
+    that residue; a group of rank 3 keeps one table of its exponent's roots."""
+    group = make_group([4099])
+    e = group.exponent
+    for t in [*range(-3, e + 3), 10**9 + 7, -(10**9)]:
+        assert group.root_of_unity(t) == cmath.exp(2j * math.pi * (t % e) / e)
+    rank3 = make_group([4, 6, 12])
+    rank3.character_row(rank3.elements[-1])
+    assert len(rank3._root_table()) == rank3.exponent == 12
 
 
 def _tables(group):

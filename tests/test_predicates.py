@@ -448,6 +448,29 @@ def test_symmetry_forces_equal_preconditions():
         symmetry_forces_equal(not_symmetric)
 
 
+def test_heyde_check_fails_at_a_nan_tolerance():
+    """Z5, alpha = 2, point masses at 0 and 1: L2 = 2 is not -L2.  Every
+    residual compared with a NaN tolerance fails, as the exact verdict does."""
+    g5 = make_group([5])
+    inst = canonical_instance(
+        g5, scaling_endomorphism(g5, 2), point_mass(g5, elem(g5, 0)), point_mass(g5, elem(g5, 1))
+    )
+    assert not is_conditionally_symmetric(inst)
+    assert not heyde_equation_check(inst, tol=math.nan)
+    assert not heyde_equation_check(inst)
+
+
+def test_independence_check_fails_at_a_nan_tolerance():
+    """Z5 with L1 = L2 = x1 + x2 for iid x on two points: the forms are
+    dependent, and a NaN tolerance fails the check as the exact verdict does."""
+    g5 = make_group([5])
+    mu = rational(g5, [(0, 1), (1, 1)])
+    inst = canonical_instance(g5, identity_endomorphism(g5), mu, mu)
+    assert not are_forms_independent(inst)
+    assert not independence_equation_check(inst, tol=math.nan)
+    assert not independence_equation_check(inst)
+
+
 # ---------------------------------------------------------------------------
 # canonicalization
 # ---------------------------------------------------------------------------
