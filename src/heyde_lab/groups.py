@@ -14,13 +14,15 @@ digit sums of the group's columns [e * s_m for e < n_m], each rotated by
 i's digit m.  ``group.elements[i]`` is the one instance of element i, with i
 as its ``index``; ``element()`` and every operation return it via
 ``_reduce``.  An endomorphism's table of image indices is a digit sum, and
-``is_auto``, the kernel, image and inverse are read off it.  The group keeps
-one table of the e roots of unity, e its exponent; ``root_of_unity(t)`` and
-a character's row, digit sums of exponents reduced per coordinate, read it
-at t mod e.  A subgroup is held as its element set.  ``Subgroup(parent,
-elements)`` validates elements from outside the algebra; ``Subgroup._closed``
-trusts a closure, kernel, image or annihilator, which algebra built closed.
-An annihilator keeps the y of pairing exponent 0 against every x in K.
+``is_auto``, the kernel, image, inverse and the joint law of two forms are
+read off it.  The group keeps one identity endomorphism, whose table is
+thus built once, and one table of the e roots of unity, e its exponent;
+``root_of_unity(t)`` and a character's row, digit sums of exponents reduced
+per coordinate, read it at t mod e.  A subgroup is held as its element set.
+``Subgroup(parent, elements)`` validates elements from outside the algebra;
+``Subgroup._closed`` trusts a closure, kernel, image or annihilator, which
+algebra built closed.  An annihilator keeps the y of pairing exponent 0
+against every x in K.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ class FiniteAbelianGroup:
         self._elements: tuple[GroupElement, ...] | None = None
         self._negation: tuple[int, ...] | None = None
         self._roots: tuple[complex, ...] | None = None
+        self._identity: Endomorphism | None = None
 
     def __eq__(self, other: object) -> bool:
         return other is self or (
@@ -508,7 +511,10 @@ def make_endomorphism(
 
 
 def identity_endomorphism(group: FiniteAbelianGroup) -> Endomorphism:
-    return scaling_endomorphism(group, 1)
+    """The identity map, built once per group."""
+    if group._identity is None:
+        group._identity = scaling_endomorphism(group, 1)
+    return group._identity
 
 
 def scaling_endomorphism(group: FiniteAbelianGroup, n: int) -> Endomorphism:

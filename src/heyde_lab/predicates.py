@@ -144,13 +144,17 @@ class JointDistribution:
 
 
 def joint_of_forms(inst: FormsInstance) -> JointDistribution:
-    """The joint law of (L1, L2) over the support product, each coefficient
-    applied once per support point: a cell, keyed s*n + t by element index,
-    sums numerator products over the product of the laws' denominators."""
+    """The joint law of (L1, L2) over the support product, each coefficient's
+    image of a support point read off its index table: a cell, keyed s*n + t
+    by element index, sums numerator products over the product of the laws'
+    denominators."""
     group, n = inst.group, inst.group.order
     first, second = (
-        [(a(x).index, b(x).index, w) for x, w in zip(mu.support(), mu.numerators)]
-        for mu, a, b in ((inst.mu1, inst.alpha1, inst.beta1), (inst.mu2, inst.alpha2, inst.beta2))
+        [(a[i], b[i], w) for i, w in zip(mu.indices, mu.numerators)]
+        for mu, a, b in (
+            (inst.mu1, inst.alpha1.table, inst.beta1.table),
+            (inst.mu2, inst.alpha2.table, inst.beta2.table),
+        )
     )
     rows = {i: group.translation_row(i) for i in {i for u, v, _ in first for i in (u, v)}}
     cells = accumulate(

@@ -14,10 +14,12 @@ when its set of occupied joint-cell keys contains the mirror of each (one
 rule, key + flip[t], turns the cell (s, t) into (s, -t)), and a feasible
 pair is symmetric when the joint weights of each cell and its mirror agree,
 summed from integer weight vectors on the grid and from each drawn law's
-integer numerators in the random phase.  Every random-phase hit is
-confirmed by the exact predicate before it is recorded.  A finite-level
-scan over the cyclic p-power groups tags its outcome by the leading base-p
-digit of the multiplier.
+integer numerators in the random phase.  For each first support the grid
+enumerates as second supports only the candidates inside its viable set,
+the elements whose cells with it can have their mirrors occupied.  Every
+random-phase hit is confirmed by the exact predicate before it is
+recorded.  A finite-level scan over the cyclic p-power groups tags its
+outcome by the leading base-p digit of the multiplier.
 
 Scans are deterministic given the configuration seed: the grid phase is
 pure enumeration and the random phase is partitioned into fixed-size index
@@ -412,7 +414,8 @@ def grid_scan(
         for m, vecs in weights_by_size.items()
         for support in combinations(range(n), m)
     }
-    for coset in _idempotent_candidates(group, max_size):
+    cosets = _idempotent_candidates(group, max_size)
+    for coset in cosets:
         candidates[coset] = [(1,) * len(coset)]
 
     total_candidates = sum(len(v) for v in candidates.values())
@@ -470,18 +473,19 @@ def grid_scan(
             )
         hits.append(_report_for_hit(group, alpha, mu1, mu2, kernel, source))
 
-    support_list = sorted(candidates)
-    for sup_a in support_list:
+    for sup_a in sorted(candidates):
         vecs_a = candidates[sup_a]
         # An element y of a feasible sup_b has the mirrors of its cells with
-        # sup_a occupied by cells of sup_a x X, so test that first.
+        # sup_a occupied by cells of sup_a x X, so sup_b lies inside viable:
+        # enumerate only those candidates, in the order of sorted(candidates).
         reach = set().union(*(keys[x] for x in sup_a))
         viable = set(range(n))
         for x in sup_a:
             viable &= {y for y, k in enumerate(keys[x]) if k + flip[k % n] in reach}
-        for sup_b in support_list:
-            if not viable.issuperset(sup_b):
-                continue
+        inside = sorted(viable)
+        supports_b = [sup for m in sizes for sup in combinations(inside, m)]
+        supports_b += [coset for coset in cosets if viable.issuperset(coset)]
+        for sup_b in sorted(supports_b):
             comparisons = cell_comparisons(sup_a, sup_b)
             if comparisons is None:
                 continue

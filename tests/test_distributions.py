@@ -185,7 +185,7 @@ def _reference_char_values(mu):
 
 @pytest.mark.parametrize("orders", [[9, 27], [3, 3, 3, 3, 3], [2, 6], [5003]])
 def test_char_values_bit_identical_to_character_loop(orders):
-    """Exact float equality, also past the root table (exponent 5003 > 4096)."""
+    """Exact float equality; every exponent, 5003 included, reads the one root table."""
     group = make_group(orders)
     rng = random.Random(group.order)
     for _ in range(4):

@@ -24,6 +24,8 @@ from heyde_lab.groups import (
     scaling_endomorphism,
     subgroup_generated,
 )
+from heyde_lab.distributions import uniform
+from heyde_lab.predicates import canonical_instance
 
 SMALL_ORDERS = [[5], [9], [2, 3], [3, 3], [4], [12]]
 
@@ -330,6 +332,32 @@ def test_compose_add_invert():
     quad = scaling_endomorphism(g9, 4)
     assert (quad @ quad.inverse()) == identity_endomorphism(g9)
     assert (quad.inverse() @ quad) == identity_endomorphism(g9)
+
+
+def test_identity_endomorphism_built_once_per_group(monkeypatch):
+    """One identity per group, equal to the scaling by 1; a copied group
+    builds its own, and a second canonical instance builds no endomorphism."""
+    group = make_group([3, 9])
+    ident = identity_endomorphism(group)
+    assert identity_endomorphism(group) is ident
+    assert ident == scaling_endomorphism(group, 1)
+    for twin in (pickle.loads(pickle.dumps(group)), copy.deepcopy(group)):
+        twin_ident = identity_endomorphism(twin)
+        assert twin_ident is not ident and twin_ident.group is twin
+        assert twin_ident == ident and identity_endomorphism(twin) is twin_ident
+    alpha, mu = scaling_endomorphism(group, 2), uniform(group)
+    canonical_instance(group, alpha, mu, mu)
+    builds = []
+    original = Endomorphism.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(Endomorphism, "__init__", counted)
+    inst = canonical_instance(group, alpha, mu, mu)
+    assert inst.is_canonical and inst.alpha1 is ident
+    assert builds == []
 
 
 def test_invert_non_automorphism_rejected():

@@ -308,26 +308,56 @@ def test_random_phase_matches_exact_predicate(orders, make_alpha, caps):
     assert found == expected
 
 
-def test_grid_phase_finds_every_symmetric_candidate_pair():
-    """Brute force over every candidate pair of a Z2 x Z4 scan: the grid
-    hits are exactly the pairs the exact predicate accepts, in emission
-    order."""
-    group = make_group([2, 4])
-    alpha = _non_diagonal_automorphism(group, 3)
-    config = SearchConfig(support_size_cap=2, denominator_cap=3, random_trials=0)
+def _viable(group, alpha, support):
+    """The y whose joint cell (x + y, x + alpha y) with each x of support has
+    its mirror (s, -t) among the cells of support x X."""
+    el = [group.elements[i] for i in support]
+    return {
+        y.index for y in group.elements
+        if all(any(z + alpha(x + y - z) == -(x + alpha(y)) for z in el) for x in el)
+    }
+
+
+@pytest.mark.parametrize(
+    "orders, make_alpha, caps, shape",
+    [
+        ([2, 4], lambda g: _non_diagonal_automorphism(g, 3), (2, 3), "coset"),
+        ([15], lambda g: scaling_endomorphism(g, 7), (2, 2), "proper"),
+        ([9], neg_identity_endomorphism, (2, 3), "full"),
+        ([3, 3], lambda g: _non_diagonal_automorphism(g, 2), (2, 3), "proper"),
+    ],
+    ids=["Z2xZ4", "Z15-alpha7", "Z9-minusI", "Z3xZ3"],
+)
+def test_grid_phase_finds_every_symmetric_candidate_pair(orders, make_alpha, caps, shape):
+    """Brute force over every candidate pair of a scan: the grid hits are
+    exactly the pairs the exact predicate accepts, in emission order.  Each
+    case shows its shape of viable set for some first support: a proper
+    subset, the whole group, or one containing a coset candidate."""
+    group = make_group(orders)
+    alpha = make_alpha(group)
+    config = SearchConfig(support_size_cap=caps[0], denominator_cap=caps[1], random_trials=0)
+    max_size = min(*caps, group.order)
     elements = group.elements
     candidates = {}
-    for m in (1, 2):
+    for m in range(1, max_size + 1):
         for support in combinations(range(group.order), m):
             candidates[support] = list(weight_vectors(m, config.denominator_cap))
+    cosets = set()
     for sub in all_subgroups(group):
-        if len(sub) <= 2:
+        if len(sub) <= max_size:
             continue
         for x in elements:
             coset = tuple(sorted(group.index(x + k) for k in sub))
+            cosets.add(coset)
             vec = ((1,) * len(sub), len(sub))
             if vec not in candidates.setdefault(coset, []):
                 candidates[coset].append(vec)
+    viable = [_viable(group, alpha, support) for support in candidates]
+    assert any({
+        "proper": 0 < len(v) < group.order,
+        "full": len(v) == group.order,
+        "coset": any(v.issuperset(c) for c in cosets),
+    }[shape] for v in viable)
     by_support = [
         [
             Distribution(
@@ -348,7 +378,9 @@ def test_grid_phase_finds_every_symmetric_candidate_pair():
     result = grid_scan(group, alpha, config)
     assert result.summary["grid_candidates"] == sum(map(len, by_support))
     assert [(r.mu1, r.mu2) for r in result.hits if r.source == "grid"] == expected
-    assert any(not r.pair_idempotent for r in result.hits)
+    # Theorem B: hits are idempotent when Ker(I + alpha) is trivial; a
+    # nontrivial kernel shows here in a non-idempotent hit
+    assert any(not r.pair_idempotent for r in result.hits) != result.kernel.is_trivial
 
 
 def test_random_hit_disagreement_raises(monkeypatch):
