@@ -394,6 +394,7 @@ class Endomorphism:
         self.group = group
         self.matrix = tuple(reduced)
         self._table: tuple[int, ...] | None = None
+        self._adjoint: Endomorphism | None = None
 
     @property
     def table(self) -> tuple[int, ...]:
@@ -470,18 +471,15 @@ class Endomorphism:
         """The unique map with (alpha x, y) = (x, adjoint y) for all x, y.
 
         Entry (j, i) of the adjoint is a[i][j] * n_j / n_i, an integer by the
-        compatibility congruence.
+        compatibility congruence.  Built once per endomorphism.
         """
-        orders = self.group.cyclic_orders
-        k = self.group.rank
-        adj = [
-            [
-                (self.matrix[i][j] * orders[j]) // orders[i] % orders[j]
-                for i in range(k)
-            ]
-            for j in range(k)
-        ]
-        return Endomorphism(self.group, adj)
+        if self._adjoint is None:
+            orders, k = self.group.cyclic_orders, self.group.rank
+            self._adjoint = Endomorphism(self.group, [
+                [(self.matrix[i][j] * orders[j]) // orders[i] % orders[j] for i in range(k)]
+                for j in range(k)
+            ])
+        return self._adjoint
 
     def kernel(self) -> Subgroup:
         """{x : alpha x = 0}."""

@@ -11,15 +11,16 @@ pair, and classifies every symmetric hit; like the theorem, it takes alpha
 to be an automorphism and refuses any other map.  Both phases of the scan decide
 symmetry with one kernel over element indices: a support pair is feasible
 when its set of occupied joint-cell keys contains the mirror of each (one
-rule, key + flip[t], turns the cell (s, t) into (s, -t)), and a feasible
-pair is symmetric when the joint weights of each cell and its mirror agree,
-summed from integer weight vectors on the grid and from each drawn law's
-integer numerators in the random phase.  For each first support the grid
-enumerates as second supports only the candidates inside its viable set,
-the elements whose cells with it can have their mirrors occupied.  Every
-random-phase hit is confirmed by the exact predicate before it is
-recorded.  A finite-level scan over the cyclic p-power groups tags its
-outcome by the leading base-p digit of the multiplier.
+rule, key + flip[t], turns the cell (s, t) into (s, -t)), and first weights
+wa turn each (cell, mirror) comparison into an integer row v with
+v . wb = 0 for balancing second weights wb: the grid solves the rows once
+per wa, and the random phase tests each draw's numerators against them.
+For each first support the grid enumerates as second supports only the
+candidates inside its viable set, the elements whose cells with it can
+have their mirrors occupied; a random draw outside it is rejected at once.
+Each hit law is built and classified once per scan, and every random hit
+is confirmed by the exact predicate.  A finite-level scan over the cyclic
+p-power groups tags its outcome by the leading base-p digit of the multiplier.
 
 Scans are deterministic given the configuration seed: the grid phase is
 pure enumeration and the random phase is partitioned into fixed-size index
@@ -30,6 +31,7 @@ on evaluation order.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import asdict, dataclass
 from itertools import combinations
@@ -161,13 +163,12 @@ class SymmetryReport:
 def _report_for_hit(
     group: FiniteAbelianGroup,
     alpha: Endomorphism,
-    mu1: Distribution,
-    mu2: Distribution,
+    law1: tuple[Distribution, dict],
+    law2: tuple[Distribution, dict],
     kernel: Subgroup,
     source: str,
 ) -> SymmetryReport:
-    c1 = classify_distribution(mu1)
-    c2 = classify_distribution(mu2)
+    (mu1, c1), (mu2, c2) = law1, law2
     tags = verdict_tags(c1, c2, kernel)
     return SymmetryReport(group, alpha, mu1, mu2, c1, c2, kernel, tags, source)
 
@@ -322,6 +323,27 @@ def _moebius(e: int) -> int:
     return -sign if e > 1 else sign
 
 
+def balanced_weights(rows, vectors, cap: int | None = None) -> list:
+    """The w in vectors, in order, with v . w = 0 for every nonzero integer
+    row v.  With cap given, vectors must be weight_vectors(m, cap); if m is
+    2 or 3 and the rows have rank m - 1, the solutions are one line (a row's
+    perpendicular, or the cross product of two rows), whose primitive point
+    is kept when positive, within cap and a solution.  Else each w is tested.
+    """
+    r = rows[0] if cap is not None and rows else ()
+    line = (r[1], -r[0]) if len(r) == 2 else None
+    if len(r) == 3:
+        crosses = ((r[1] * s[2] - r[2] * s[1], r[2] * s[0] - r[0] * s[2], r[0] * s[1] - r[1] * s[0])
+                   for s in rows[1:])
+        line = next((c for c in crosses if any(c)), None)
+    if line is not None:
+        g = math.gcd(*line) if sum(line) > 0 else -math.gcd(*line)
+        w = tuple(x // g for x in line)
+        solved = all(sum(map(operator.mul, v, w)) == 0 for v in rows)
+        return [w] if min(w) > 0 and sum(w) <= cap and solved else []
+    return [w for w in vectors if all(sum(map(operator.mul, v, w)) == 0 for v in rows)]
+
+
 def _hit_counts(hits: list[SymmetryReport]) -> dict:
     """Hits in total and by pair kind: both degenerate, else both
     idempotent (degenerate or idempotent-shift), else other."""
@@ -371,14 +393,17 @@ def grid_scan(
     support pair is feasible only if its occupied cells include the mirror
     (s, -t) of each, since an empty mirror makes every strictly positive
     weight assignment asymmetric; a feasible pair is symmetric when each
-    cell and its mirror carry equal joint weight.  The grid phase
-    enumerates integer weight vectors only on feasible ordered support
-    pairs.  The random phase draws config.random_trials pairs in seeded
-    partitions, reads each as its index support with its integer numerators,
-    and confirms every hit with the exact predicate, raising RuntimeError on
-    a disagreement.  More than MAX_HITS hits raise SearchSpaceError, and an
-    alpha that is not an automorphism, outside the theorem, ValueError.
-    Deterministic given (seed, caps).
+    cell and its mirror carry equal joint weight: rows v . wb = 0 on the
+    second weights once the first weights wa are fixed.  The grid phase
+    visits only feasible ordered support pairs and solves the rows of each
+    wa with balanced_weights.  The random phase draws config.random_trials
+    pairs in seeded partitions, rejects a draw whose second support leaves
+    the grid's viable set of its first, tests the rest's integer numerators
+    against the rows, and confirms every hit with the exact predicate,
+    raising RuntimeError on a disagreement.  Hits share their laws.  More
+    than MAX_HITS hits raise SearchSpaceError, and an alpha that is not an
+    automorphism, outside the theorem, ValueError.  Deterministic given
+    (seed, caps).
     """
     if alpha.group != group:
         raise ValueError("alpha acts on a different group")
@@ -453,26 +478,40 @@ def grid_scan(
                 comparisons.append((cell, cells[key + step]))
         return comparisons
 
-    def balanced(comparisons, wa, wb):
-        """Whether each cell and its mirror carry equal joint weight, with
-        wa and wb integer weights at the support positions; both sides scale
-        alike, so the weights need not be normalized."""
+    def balance_rows(comparisons, wa, m):
+        """The nonzero rows v, one per comparison, for first weights wa:
+        v[j] is what second-support position j adds to the cell less its
+        mirror, so second weights wb balance when v . wb = 0 for each."""
+        rows = []
         for cell, mirror in comparisons:
-            lhs = sum(wa[i] * wb[j] for i, j in cell)
-            rhs = sum(wa[i] * wb[j] for i, j in mirror)
-            if lhs != rhs:
-                return False
-        return True
+            v = [0] * m
+            for i, j in cell:
+                v[j] += wa[i]
+            for i, j in mirror:
+                v[j] -= wa[i]
+            if any(v):
+                rows.append(v)
+        return rows
 
     hits: list[SymmetryReport] = []
+    laws: dict[tuple, tuple[Distribution, dict]] = {}  # built and classified once
 
-    def record_hit(mu1, mu2, source):
+    def law(support, weights, mu=None):
+        key = (support, tuple(weights))
+        if key not in laws:
+            if mu is None:
+                mu = Distribution.from_weights(group, support, weights)
+            laws[key] = (mu, classify_distribution(mu))
+        return laws[key]
+
+    def record_hit(law1, law2, source):
         if len(hits) >= MAX_HITS:
             raise SearchSpaceError(
                 f"scan finds more than {MAX_HITS} symmetric hits; lower the caps"
             )
-        hits.append(_report_for_hit(group, alpha, mu1, mu2, kernel, source))
+        hits.append(_report_for_hit(group, alpha, law1, law2, kernel, source))
 
+    viable_masks: dict[tuple[int, ...], int] = {}
     for sup_a in sorted(candidates):
         vecs_a = candidates[sup_a]
         # An element y of a feasible sup_b has the mirrors of its cells with
@@ -482,6 +521,7 @@ def grid_scan(
         viable = set(range(n))
         for x in sup_a:
             viable &= {y for y, k in enumerate(keys[x]) if k + flip[k % n] in reach}
+        viable_masks[sup_a] = sum(1 << y for y in viable)
         inside = sorted(viable)
         supports_b = [sup for m in sizes for sup in combinations(inside, m)]
         supports_b += [coset for coset in cosets if viable.issuperset(coset)]
@@ -489,14 +529,12 @@ def grid_scan(
             comparisons = cell_comparisons(sup_a, sup_b)
             if comparisons is None:
                 continue
+            # a coset carries only its uniform vector, not weight_vectors': test it
+            grid_cap = cap if len(sup_b) <= max_size else None
             for wa in vecs_a:
-                for wb in candidates[sup_b]:
-                    if balanced(comparisons, wa, wb):
-                        record_hit(
-                            Distribution.from_weights(group, sup_a, wa),
-                            Distribution.from_weights(group, sup_b, wb),
-                            "grid",
-                        )
+                rows = balance_rows(comparisons, wa, len(sup_b))
+                for wb in balanced_weights(rows, candidates[sup_b], grid_cap):
+                    record_hit(law(sup_a, wa), law(sup_b, wb), "grid")
 
     trials_done = 0
     partition = 0
@@ -510,19 +548,25 @@ def grid_scan(
             mu2 = random_distribution(
                 group, rng, config.support_size_cap, config.denominator_cap
             )
-            comparisons = cell_comparisons(mu1.indices, mu2.indices)
-            if comparisons is None or not balanced(
-                comparisons, mu1.numerators, mu2.numerators
-            ):
-                continue
-            if not is_conditionally_symmetric(
-                canonical_instance(group, alpha, mu1, mu2)
-            ):
-                raise RuntimeError(
-                    "integer symmetry kernel disagrees with the exact "
-                    "predicate on a random pair; this is a bug"
-                )
-            record_hit(mu1, mu2, "random")
+            # a second support outside the first's viable set is infeasible;
+            # a first support the grid lacks gets the all-ones mask -1
+            mask = viable_masks.get(mu1.indices, -1)
+            for y in mu2.indices:
+                if not mask >> y & 1:
+                    break
+            else:
+                comparisons = cell_comparisons(mu1.indices, mu2.indices)
+                if comparisons is None or not balanced_weights(
+                    balance_rows(comparisons, mu1.numerators, len(mu2.indices)), [mu2.numerators]
+                ):
+                    continue
+                if not is_conditionally_symmetric(canonical_instance(group, alpha, mu1, mu2)):
+                    raise RuntimeError(
+                        "integer symmetry kernel disagrees with the exact "
+                        "predicate on a random pair; this is a bug"
+                    )
+                record_hit(law(mu1.indices, mu1.numerators, mu1),
+                           law(mu2.indices, mu2.numerators, mu2), "random")
         trials_done += block
         partition += 1
 
@@ -640,9 +684,8 @@ def padic_scan(p: int, k: int, c: int, config: SearchConfig) -> PadicScanReport:
         mu = Distribution.from_weights(group, nonzero[:2], [1, 1])
         inst = checked_instance(group, alpha, mu, mu, kernel, "kernel")
         if not any(r.mu1 == inst.mu1 and r.mu2 == inst.mu2 for r in scan.hits):
-            scan.hits.append(
-                _report_for_hit(group, alpha, inst.mu1, inst.mu2, kernel, "construction")
-            )
+            law = (mu, classify_distribution(mu))
+            scan.hits.append(_report_for_hit(group, alpha, law, law, kernel, "construction"))
             scan.summary["counts"] = _hit_counts(scan.hits)
         non_idempotent = [r for r in scan.hits if not r.pair_idempotent]
         consistent = bool(non_idempotent)

@@ -411,6 +411,10 @@ SUITES = {
 #: trial count.
 UNTRIALED_SUITES = ("chain16", "chain10")
 
+#: Largest trial count a suite accepts, refused before any trial runs; the
+#: slowest suite, corollary3, takes about 30 s at it (Python 3.11, one core).
+MAX_VERIFY_TRIALS = 10**5
+
 
 def run_suite(name: str, *, seed: int = 0, trials: int | None = None) -> SuiteResult:
     if name not in SUITES:
@@ -418,8 +422,8 @@ def run_suite(name: str, *, seed: int = 0, trials: int | None = None) -> SuiteRe
     func = SUITES[name]
     if trials is None:
         return func(seed=seed)
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    if not 0 <= trials <= MAX_VERIFY_TRIALS:
+        raise ValueError(f"trials must be in 0..{MAX_VERIFY_TRIALS}, got {trials}")
     if name in UNTRIALED_SUITES:
         raise ValueError(
             f"suite {name} takes no trial count: it checks a fixed instance "

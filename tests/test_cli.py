@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from heyde_lab import search
+from heyde_lab import search, verify
 from heyde_lab.cli import run
 from heyde_lab.distributions import Distribution, make_distribution, uniform
 from heyde_lab.groups import make_group, scaling_endomorphism
@@ -339,6 +339,21 @@ def test_benchmark_check_operations_output_pinned(tmp_path, monkeypatch):
     )
 
 
+def test_benchmark_scan_operations_output_pinned(tmp_path, monkeypatch):
+    """stdout of the benchmark's seed-1 scan operations (Z15 with alpha=7 and
+    Z9 with alpha=-I, caps 3/6, 10k trials), hashed at a fixed timestamp:
+    every hit in emission order, grid and random phase."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    monkeypatch.chdir(tmp_path)  # operations name their inputs relative to it
+    outputs = [run_cli(list(op.argv)) for op in workloads.generate("scan", 1, tmp_path)]
+    assert [code for code, _ in outputs] == [0, 0]
+    output = "".join(text for _, text in outputs)
+    assert hashlib.sha256(output.encode()).hexdigest() == (
+        "b2eb4fe913e4f440fa071e22e065b20fa7f1a9942eaa504887b054293764076a"
+    )
+
+
 def test_check_disagreement_exits_3(tmp_path, monkeypatch):
     """A forced mismatch between the exact predicate and the tolerance
     check must exit 3 while still emitting the report."""
@@ -595,6 +610,17 @@ def test_verify_rejects_negative_trials(capsys):
     code, output = run_cli(["verify", "--suite", "lemma8", "--trials", "-3"])
     assert code == 2 and output == ""
     assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["lemma8", "all"])
+def test_verify_refuses_trials_past_the_bound(suite, capsys, monkeypatch):
+    """One trial past MAX_VERIFY_TRIALS exits 2 before any suite runs."""
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, lambda **kw: pytest.fail("a suite ran"))
+    bound = verify.MAX_VERIFY_TRIALS
+    code, output = run_cli(["verify", "--suite", suite, "--trials", str(bound + 1)])
+    assert code == 2 and output == ""
+    assert f"trials must be in 0..{bound}, got {bound + 1}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["chain16", "chain10"])

@@ -281,6 +281,37 @@ def test_adjoint_formula_example():
     assert endo.adjoint().matrix == ((1, 0), (1, 1))
 
 
+@pytest.mark.parametrize("orders", [[5], [9, 3], [4, 6], [2, 4, 8]])
+def test_adjoint_cached_and_table_matches_formula(orders):
+    """One adjoint per endomorphism, whose table is the matrix formula
+    applied to each element and satisfies (alpha x, y) = (x, adjoint y)."""
+    group = make_group(orders)
+    rng = random.Random(len(orders))
+    k = group.rank
+    for _ in range(5):
+        gcds = [[math.gcd(n, m) for m in orders] for n in orders]
+        matrix = [
+            [orders[i] // gcds[i][j] * rng.randrange(gcds[i][j]) for j in range(k)]
+            for i in range(k)
+        ]
+        endo = Endomorphism(group, matrix)
+        adj = endo.adjoint()
+        assert adj is endo.adjoint()
+        formula = [
+            group.element([
+                sum(matrix[i][j] * orders[j] // orders[i] * y.coords[i] for i in range(k))
+                for j in range(k)
+            ]).index
+            for y in group.elements
+        ]
+        assert list(adj.table) == formula
+        for x in group.elements:
+            ax = group.elements[endo.table[x.index]]
+            for y in group.elements:
+                adj_y = group.elements[adj.table[y.index]]
+                assert group.pairing_exponent(ax, y) == group.pairing_exponent(x, adj_y)
+
+
 @pytest.mark.parametrize("orders", [[5], [9], [9, 3], [3, 3], [2, 3], [5, 5]])
 def test_adjoint_pairing_identity_exhaustive(orders):
     group = make_group(orders)

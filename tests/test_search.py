@@ -63,6 +63,71 @@ def test_weight_vector_count_matches_enumeration():
             assert weight_vector_count(m, d) == len(weight_vectors(m, d)), (m, d)
 
 
+def _solutions_by_brute_force(rows, vectors):
+    return [w for w in vectors if all(sum(a * b for a, b in zip(v, w)) == 0 for v in rows)]
+
+
+@pytest.mark.parametrize(
+    "rows, cap, expected",
+    [
+        ([[1, -2]], 6, [(2, 1)]),
+        ([[2, -4], [-1, 2]], 6, [(2, 1)]),
+        ([[1, 1]], 6, []),
+        ([[1, -5]], 5, []),
+        ([[1, -5]], 6, [(5, 1)]),
+        ([[1, -1], [1, -2]], 6, []),
+        ([[1, 1, -2], [1, -1, 0]], 6, [(1, 1, 1)]),
+        ([[2, -1, -1], [1, 1, -2]], 6, [(1, 1, 1)]),
+        ([[1, -1, 0], [-2, 2, 0]], 6, [(1, 1, 1), (1, 1, 2), (1, 1, 3), (2, 2, 1), (1, 1, 4)]),
+        ([[1, 2, -3], [-2, 1, 0]], 13, []),
+        ([[1, 2, -3], [-2, 1, 0]], 14, [(3, 6, 5)]),
+        ([[1, 1, 1], [1, 0, 0]], 6, []),
+        ([[1, -1, 0], [0, 1, -1], [1, 0, -2]], 6, []),
+    ],
+    ids=[
+        "m2-rank1", "m2-parallel", "m2-no-positive", "m2-over-cap", "m2-at-cap",
+        "m2-rank2", "m3-cross", "m3-sign-mixed", "m3-rank1", "m3-over-cap",
+        "m3-at-cap", "m3-no-positive", "m3-rank3",
+    ],
+)
+def test_balanced_weights_cases(rows, cap, expected):
+    vectors = [w for w, _ in weight_vectors(len(rows[0]), cap)]
+    assert search.balanced_weights(rows, vectors, cap) == expected
+    assert _solutions_by_brute_force(rows, vectors) == expected
+    # without the cap every vector is tested, with the same answer
+    assert search.balanced_weights(rows, vectors) == expected
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_balanced_weights_match_brute_force(m):
+    """Rows orthogonal to a random integer target, positive or sign-mixed,
+    within the cap or past it, with now and then a row that breaks it."""
+    rng = random.Random(m)
+    cap = 7
+    vectors = [w for w, _ in weight_vectors(m, cap)]
+    for _ in range(600):
+        target = [rng.randint(-3, 9) for _ in range(m)]
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.15:
+                row = [rng.randint(-4, 4) for _ in range(m)]
+            elif m == 2:
+                k = rng.choice([-3, -2, -1, 1, 2, 3])
+                row = [k * target[1], -k * target[0]]
+            else:
+                a = [rng.randint(-3, 3) for _ in range(3)]
+                row = [
+                    a[1] * target[2] - a[2] * target[1],
+                    a[2] * target[0] - a[0] * target[2],
+                    a[0] * target[1] - a[1] * target[0],
+                ]
+            if any(row):
+                rows.append(row)
+        if rows:
+            expected = _solutions_by_brute_force(rows, vectors)
+            assert search.balanced_weights(rows, vectors, cap) == expected, rows
+
+
 def test_weight_vectors_are_primitive_distributions():
     seen = set()
     for w, d in weight_vectors(3, 8):
@@ -275,8 +340,10 @@ def _symmetric(group, alpha, mu1, mu2):
         ([3, 3], lambda g: _non_diagonal_automorphism(g, 2), (3, 4)),
         ([8], lambda g: scaling_endomorphism(g, 3), (2, 3)),
         ([9], neg_identity_endomorphism, (3, 4)),
+        # draws of 3 points are no grid support, so no viable set rejects them
+        ([2, 2], identity_endomorphism, (3, 2)),
     ],
-    ids=["Z2xZ6", "Z3xZ3", "Z8-alpha3", "Z9-minusI"],
+    ids=["Z2xZ6", "Z3xZ3", "Z8-alpha3", "Z9-minusI", "Z2xZ2-past-grid"],
 )
 def test_random_phase_matches_exact_predicate(orders, make_alpha, caps):
     """The random hits of a scan are exactly the symmetric draws of a
@@ -325,8 +392,10 @@ def _viable(group, alpha, support):
         ([15], lambda g: scaling_endomorphism(g, 7), (2, 2), "proper"),
         ([9], neg_identity_endomorphism, (2, 3), "full"),
         ([3, 3], lambda g: _non_diagonal_automorphism(g, 2), (2, 3), "proper"),
+        ([5], neg_identity_endomorphism, (3, 5), "proper"),
+        ([9], neg_identity_endomorphism, (2, 2), "coset"),
     ],
-    ids=["Z2xZ4", "Z15-alpha7", "Z9-minusI", "Z3xZ3"],
+    ids=["Z2xZ4", "Z15-alpha7", "Z9-minusI", "Z3xZ3", "Z5-minusI-cap3", "Z9-minusI-cap2"],
 )
 def test_grid_phase_finds_every_symmetric_candidate_pair(orders, make_alpha, caps, shape):
     """Brute force over every candidate pair of a scan: the grid hits are
