@@ -26,7 +26,7 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from . import __version__
 from .distributions import CHAR_TOL
@@ -39,6 +39,7 @@ from .predicates import (
     independence_equation_check,
 )
 from .search import (
+    ScanResult,
     SearchConfig,
     SearchSpaceError,
     classify_distribution,
@@ -48,6 +49,7 @@ from .search import (
 )
 from .serialization import (
     SchemaError,
+    distribution_to_json,
     element_key,
     endomorphism_to_json,
     group_from_json,
@@ -163,14 +165,30 @@ def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     group = group_from_json(_load_json(args.group))
     alpha = endomorphism_from_json(group, _load_json(args.alpha))
     result = grid_scan(group, alpha, config)
-    for report in result.hits:
-        line = {"manifest": manifest, **report.to_json()}
-        out.write(json.dumps(line, sort_keys=True))
+    for line in _hit_lines(manifest, result):
+        out.write(line)
         out.write("\n")
     summary = {"manifest": manifest, "summary": result.summary}
     out.write(json.dumps(summary, sort_keys=True))
     out.write("\n")
     return EXIT_FALSE if result.red_alert else EXIT_TRUE
+
+
+def _hit_lines(manifest: dict, result: ScanResult) -> Iterator[str]:
+    """json.dumps({"manifest": manifest, **hit.to_json()}, sort_keys=True) per
+    hit, spliced in key order from the scan's constant prefix, encoded once,
+    and each shared law's encoding, made once per law object."""
+    constant = {key: result.summary[key] for key in ("alpha", "group", "kernel")}
+    head = json.dumps({**constant, "manifest": manifest}, sort_keys=True)[:-1]
+    laws: dict[int, tuple[str, str]] = {}  # hits keep their laws alive, so ids stay unique
+    for r in result.hits:
+        for mu, cls in ((r.mu1, r.mu1_class), (r.mu2, r.mu2_class)):
+            if id(mu) not in laws:
+                laws[id(mu)] = (json.dumps(distribution_to_json(mu), sort_keys=True),
+                                json.dumps(cls, sort_keys=True))
+        (d1, c1), (d2, c2) = laws[id(r.mu1)], laws[id(r.mu2)]
+        tail = json.dumps({"source": r.source, "symmetric": True, "tags": list(r.tags)})
+        yield f'{head}, "mu1": {d1}, "mu1_class": {c1}, "mu2": {d2}, "mu2_class": {c2}, {tail[1:]}'
 
 
 def cmd_padic(args: argparse.Namespace, out: TextIO) -> int:

@@ -15,8 +15,9 @@ i's digit m.  ``group.elements[i]`` is the one instance of element i, with i
 as its ``index``; ``element()`` and every operation return it via
 ``_reduce``.  An endomorphism's table of image indices is a digit sum, and
 ``is_auto``, the kernel, image, inverse and the joint law of two forms are
-read off it.  The group keeps one identity endomorphism, whose table is
-thus built once, and one table of the e roots of unity, e its exponent;
+read off it; the group shares one table per matrix, up to TABLE_MEMO_ENTRIES
+indices.  It keeps one identity endomorphism and one table of the e roots
+of unity, e its exponent;
 ``root_of_unity(t)`` and a character's row, digit sums of exponents reduced
 per coordinate, read it at t mod e.  A subgroup is held as its element set.
 ``Subgroup(parent, elements)`` validates elements from outside the algebra;
@@ -41,6 +42,10 @@ ENUMERATION_CAP = 10**6
 #: always consulted as the authoritative answer.
 PAIRING_TOL = 1e-9
 
+#: Most image indices a group keeps in its memo of endomorphism tables, one
+#: per group element per table; past it, tables are built but not kept.
+TABLE_MEMO_ENTRIES = 2**20
+
 
 class IncompatibleMatrixError(ValueError):
     """A matrix entry violates n_j * a_ij = 0 (mod n_i)."""
@@ -59,6 +64,16 @@ def _digit_sums(columns: Iterable[Sequence[int]]) -> list[int]:
     for column in rest:
         sums = [t + c for t in sums for c in column]
     return sums
+
+
+def _image_table(group: FiniteAbelianGroup, matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Index of alpha(x) = sum_i (sum_j a_ij x_j mod n_i) * s_i per x."""
+    orders = group.cyclic_orders
+    images = [
+        [r % n * s for r in _digit_sums([a * e for e in range(m)] for a, m in zip(row, orders))]
+        for row, n, s in zip(matrix, orders, group._strides)
+    ]
+    return tuple(map(sum, zip(*images)))
 
 
 class FiniteAbelianGroup:
@@ -89,6 +104,7 @@ class FiniteAbelianGroup:
         self._negation: tuple[int, ...] | None = None
         self._roots: tuple[complex, ...] | None = None
         self._identity: Endomorphism | None = None
+        self._tables: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
 
     def __eq__(self, other: object) -> bool:
         return other is self or (
@@ -366,8 +382,8 @@ class Endomorphism:
 
     Well-definedness requires n_j * a[i][j] = 0 (mod n_i) for every entry;
     the constructor rejects matrices violating it.  ``table`` holds the
-    index of alpha(x) for each element x, computed on first use;
-    ``is_auto``, ``kernel()``, ``image()`` and ``inverse()`` are read off it.
+    index of alpha(x) for each element x, the group's shared table for the
+    matrix; ``is_auto``, ``kernel()``, ``image()`` and ``inverse()`` are read off it.
     """
 
     def __init__(self, group: FiniteAbelianGroup, matrix: Sequence[Sequence[int]]):
@@ -398,16 +414,14 @@ class Endomorphism:
 
     @property
     def table(self) -> tuple[int, ...]:
-        """Index of alpha(x) = sum_i (sum_j a_ij x_j mod n_i) * s_i per x."""
+        """Index of alpha(x) per x, the group's table for this matrix."""
         if self._table is None:
-            orders = self.group.cyclic_orders
-            images = [
-                [r % n * s for r in _digit_sums(
-                    [a * e for e in range(m)] for a, m in zip(row, orders)
-                )]
-                for row, n, s in zip(self.matrix, orders, self.group._strides)
-            ]
-            self._table = tuple(map(sum, zip(*images)))
+            memo = self.group._tables
+            self._table = memo.get(self.matrix)
+            if self._table is None:
+                self._table = _image_table(self.group, self.matrix)
+                if (len(memo) + 1) * self.group.order <= TABLE_MEMO_ENTRIES:
+                    memo[self.matrix] = self._table
         return self._table
 
     @property

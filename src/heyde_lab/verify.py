@@ -255,8 +255,9 @@ def suite_corollary3(seed: int = 0, trials: int = 200) -> SuiteResult:
     rng = random.Random(seed)
     failures = []
     checks = 0
+    groups = [make_group([9]), make_group([7])]
     for i in range(trials):
-        group = make_group([7] if i % 2 else [9])
+        group = groups[i % 2]
         coeffs = [random_automorphism(group, rng) for _ in range(4)]
         inst = FormsInstance(
             group,
@@ -412,7 +413,8 @@ SUITES = {
 UNTRIALED_SUITES = ("chain16", "chain10")
 
 #: Largest trial count a suite accepts, refused before any trial runs; the
-#: slowest suite, corollary3, takes about 30 s at it (Python 3.11, one core).
+#: slowest suites, corollary3 and lemma8, take about 22 and 20 s at it
+#: (Python 3.11, one core).
 MAX_VERIFY_TRIALS = 10**5
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -11,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from heyde_lab import search, verify
-from heyde_lab.cli import run
+from heyde_lab.cli import _hit_lines, build_manifest, run
 from heyde_lab.distributions import Distribution, make_distribution, uniform
-from heyde_lab.groups import make_group, scaling_endomorphism
+from heyde_lab.groups import make_endomorphism, make_group, scaling_endomorphism
 from heyde_lab.predicates import FormsInstance, canonical_instance
 from heyde_lab.serialization import (
     SchemaError,
@@ -487,6 +488,29 @@ def test_random_phase_search_output_pinned(tmp_path, monkeypatch):
     )
 
 
+def test_search_hit_lines_equal_the_report_encoding():
+    """Each spliced hit line equals the reference encoding of its report, on
+    Z15 with alpha = 7 (grid and random-phase hits, keys such as "10" that
+    sort before "4" as strings), on Z3xZ3, and on a scan with no hits."""
+    manifest = build_manifest("search", ["g.json", "a.json"], {"seed": 0})
+    z15, z3x3 = make_group([15]), make_group([3, 3])
+    config = search.SearchConfig(support_size_cap=2, denominator_cap=3, random_trials=200)
+    scans = [
+        search.grid_scan(z15, scaling_endomorphism(z15, 7), config),
+        search.grid_scan(z3x3, make_endomorphism(z3x3, [[1, 1], [0, 1]]), config),
+    ]
+    scans.append(dataclasses.replace(scans[0], hits=[]))
+    for scan in scans:
+        lines = list(_hit_lines(manifest, scan))
+        assert lines == [
+            json.dumps({"manifest": manifest, **r.to_json()}, sort_keys=True) for r in scan.hits
+        ]
+    for scan in scans[:2]:
+        assert {r.source for r in scan.hits} == {"grid", "random"}
+    keys = [list(distribution_to_json(r.mu1)["probs"]) for r in scans[0].hits]
+    assert any(k != sorted(k) for k in keys)
+
+
 def test_search_hit_bound_is_usage_error(tmp_path, monkeypatch, capsys):
     """Every pair on Z2xZ2xZ2 is symmetric; the hit list stops at the bound."""
     monkeypatch.setattr(search, "MAX_HITS", 50)
@@ -603,6 +627,26 @@ def test_verify_report_pinned(tmp_path):
     assert output == "lemma1: PASS (84 checks)\n"
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
         "a6d518297b1b55d3f9860f816c2e4ad1e50fbe6905542a13f79777a9f09b7a6a"
+    )
+
+
+def test_benchmark_verify_operations_output_pinned(tmp_path, monkeypatch):
+    """stdout and --out reports of the benchmark's seed-1 verify operations
+    (every suite, one seed each), hashed at a fixed timestamp."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setattr(workloads, "VERIFY_SEEDS", 1)
+    monkeypatch.chdir(tmp_path)  # operations write their reports relative to it
+    ops = workloads.generate("verify", 1, tmp_path)
+    outputs = [run_cli(list(op.argv)) for op in ops]
+    assert [code for code, _ in outputs] == [0] * len(workloads.VERIFY_SUITES)
+    output = "".join(text for _, text in outputs)
+    reports = b"".join((tmp_path / op.out_file).read_bytes() for op in ops)
+    assert hashlib.sha256(output.encode()).hexdigest() == (
+        "6843dc37d19598de33d2a9208a9190c1881032c5e64fb304bc87721a421a4ac2"
+    )
+    assert hashlib.sha256(reports).hexdigest() == (
+        "5d122fab64011512277d2af04c198615d210368691608ea4160651ae7f1c3203"
     )
 
 

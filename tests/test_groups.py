@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 
+from heyde_lab import groups, verify
 from heyde_lab.groups import (
     Endomorphism,
     IncompatibleMatrixError,
@@ -389,6 +390,51 @@ def test_identity_endomorphism_built_once_per_group(monkeypatch):
     inst = canonical_instance(group, alpha, mu, mu)
     assert inst.is_canonical and inst.alpha1 is ident
     assert builds == []
+
+
+def test_equal_matrices_share_one_table_per_group():
+    """Endomorphisms with one reduced matrix on one group share one table
+    tuple; an equal group, a pickled and a deep-copied group build their own."""
+    z5 = make_group([5])
+    table = scaling_endomorphism(z5, 3).table
+    assert scaling_endomorphism(z5, 8).table is table
+    assert Endomorphism(z5, [[-2]]).table is table
+    group = make_group([9, 3])
+    alpha = Endomorphism(group, [[2, 3], [1, 2]])
+    assert alpha.adjoint().table is Endomorphism(group, alpha.adjoint().matrix).table
+    assert (alpha + alpha).table is (2 * alpha).table
+    for twin in (make_group([9, 3]), pickle.loads(pickle.dumps(group)), copy.deepcopy(group)):
+        twin_table = Endomorphism(twin, alpha.matrix).table
+        assert twin_table == alpha.table and twin_table is not alpha.table
+        assert twin._tables.keys() == {alpha.matrix}
+
+
+def test_table_memo_stops_at_its_bound(monkeypatch):
+    """The memo keeps tables while they hold at most TABLE_MEMO_ENTRIES
+    indices; later tables are built on each use and still equal the formula."""
+    z9 = make_group([9])
+    monkeypatch.setattr(groups, "TABLE_MEMO_ENTRIES", 3 * z9.order)
+    tables = [scaling_endomorphism(z9, c).table for c in range(9)]
+    assert list(z9._tables) == [((c,),) for c in range(3)]
+    for c, table in enumerate(tables):
+        assert table == tuple(c * x % 9 for x in range(9))
+        shared = scaling_endomorphism(z9, c).table is table
+        assert shared == (c < 3)
+
+
+def test_corollary3_builds_one_table_per_matrix(monkeypatch):
+    """corollary3 draws every coefficient on one Z9 and one Z7, so it builds
+    one table for each of their 9 + 7 matrices."""
+    built = []
+    original = groups._image_table
+
+    def counted(group, matrix):
+        built.append((group, matrix))
+        return original(group, matrix)
+
+    monkeypatch.setattr(groups, "_image_table", counted)
+    assert verify.suite_corollary3(seed=0, trials=200).passed
+    assert len(built) == len(set(built)) == 16
 
 
 def test_invert_non_automorphism_rejected():
