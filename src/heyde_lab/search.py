@@ -247,6 +247,17 @@ def all_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
     return sorted(seen.values(), key=lambda s: (len(s), tuple(e.coords for e in s)))
 
 
+def _below(bits, m: int) -> int:
+    """bits(m.bit_length()) until it falls below m: the stdlib's _randbelow."""
+    if m < 1:
+        raise ValueError(f"empty range for a draw below {m}")
+    k = m.bit_length()
+    r = bits(k)
+    while r >= m:
+        r = bits(k)
+    return r
+
+
 def random_distribution(
     group: FiniteAbelianGroup,
     rng: random.Random,
@@ -254,10 +265,24 @@ def random_distribution(
     weight_cap: int,
 ) -> Distribution:
     """Random exact-rational distribution: integer weights up to weight_cap
-    on a random support, normalized."""
-    size = rng.randint(1, min(support_cap, group.order))
-    support = sorted(rng.sample(range(group.order), size))
-    return Distribution.from_weights(group, support, [rng.randint(1, weight_cap) for _ in support])
+    on a random support, normalized.  Every draw comes from getrandbits by
+    the stdlib's rules: a fixed function of the seed that equals, state
+    included, randint(1, min(support_cap, order)), sample(range(order), size)
+    and one randint(1, weight_cap) per element on CPython 3.10 to 3.13."""
+    bits, n = rng.getrandbits, group.order
+    size = 1 + _below(bits, min(support_cap, n))
+    if n <= 21 + (4 ** math.ceil(math.log(3 * size, 4)) if size > 5 else 0):
+        pool, support = list(range(n)), []
+        for i in range(size):  # sample's pool swap
+            j = _below(bits, n - i)
+            support.append(pool[j])
+            pool[j] = pool[n - i - 1]
+    else:
+        support = set()  # sample's rejection set
+        while len(support) < size:
+            support.add(_below(bits, n))
+    weights = [1 + _below(bits, weight_cap) for _ in range(size)]
+    return Distribution.from_weights(group, sorted(support), weights)
 
 
 #: Compatible matrices random_automorphism draws before giving up.
@@ -274,7 +299,7 @@ def random_automorphism(group: FiniteAbelianGroup, rng: random.Random) -> Endomo
             row = []
             for j in range(k):
                 g = math.gcd(orders[i], orders[j])
-                row.append((orders[i] // g) * rng.randrange(g))
+                row.append((orders[i] // g) * _below(rng.getrandbits, g))
             matrix.append(row)
         endo = Endomorphism(group, matrix)
         if endo.is_auto:

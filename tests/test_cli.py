@@ -488,6 +488,25 @@ def test_random_phase_search_output_pinned(tmp_path, monkeypatch):
     )
 
 
+def test_large_support_random_phase_output_pinned(tmp_path, monkeypatch):
+    """stdout of a search on Z27 with alpha = -1 at support cap 8, hashed at
+    a fixed timestamp: its random draws reach supports above 5 and both of
+    the stdlib's sampling branches (pool swap and rejection set), and one
+    of its 392 hits comes from the random phase."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "g.json", {"cyclic_orders": [27]})
+    write(tmp_path, "a.json", {"matrix": [[26]]})
+    code, output = run_cli(
+        ["search", "g.json", "a.json", "--support-cap", "8",
+         "--denominator-cap", "2", "--trials", "3000", "--seed", "4"]
+    )
+    assert code == 0
+    assert '"source": "random"' in output
+    assert hashlib.sha256(output.encode()).hexdigest() == (
+        "22b49b08bcb78469e2c4d698e3509013f69cc4d549d8bf69a342236d40c2da10"
+    )
+
+
 def test_search_hit_lines_equal_the_report_encoding():
     """Each spliced hit line equals the reference encoding of its report, on
     Z15 with alpha = 7 (grid and random-phase hits, keys such as "10" that

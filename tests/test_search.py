@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -160,6 +161,69 @@ def test_random_automorphism_is_automorphism():
         group = make_group(orders)
         for _ in range(10):
             assert random_automorphism(group, rng).is_auto
+
+
+def _stdlib_distribution(group, rng, support_cap, weight_cap):
+    """random_distribution as written with the stdlib's randint and sample."""
+    size = rng.randint(1, min(support_cap, group.order))
+    support = sorted(rng.sample(range(group.order), size))
+    return Distribution.from_weights(group, support, [rng.randint(1, weight_cap) for _ in support])
+
+
+def _stdlib_automorphism(group, rng):
+    """random_automorphism as written with the stdlib's randrange."""
+    orders = group.cyclic_orders
+    while True:
+        matrix = [
+            [(a // math.gcd(a, b)) * rng.randrange(math.gcd(a, b)) for b in orders]
+            for a in orders
+        ]
+        endo = Endomorphism(group, matrix)
+        if endo.is_auto:
+            return endo
+
+
+@pytest.mark.parametrize("order", [9, 15, 21, 27, 81, 243, 1024])
+def test_random_distribution_equals_stdlib_draws(order):
+    """Draws taken straight from getrandbits give the laws that randint and
+    sample give on the running interpreter, and leave the same generator
+    state.  sample swaps within a pool when the order is at most its set
+    size (21, or 85 for sizes 6 to 8) and keeps a rejection set otherwise:
+    Z21 sits on the first bound, support cap 8 on Z27 and Z81 runs both
+    branches, and Z243 and Z1024 the rejection set at the larger size."""
+    group = make_group([order])
+    for support_cap in (1, 3, 8):
+        for weight_cap in (1, 6, 12):
+            seed = order * 100 + support_cap * 10 + weight_cap
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(200):
+                assert random_distribution(group, ours, support_cap, weight_cap) == (
+                    _stdlib_distribution(group, ref, support_cap, weight_cap)
+                )
+            assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("orders", [[15], [3, 9], [2, 4, 8], [2, 9]])
+def test_random_automorphism_equals_stdlib_draws(orders):
+    """Entries drawn from getrandbits equal randrange's, also the draw from
+    range(1) that Z2xZ9's coprime off-diagonal entries still consume."""
+    group = make_group(orders)
+    ours, ref = random.Random(7), random.Random(7)
+    for _ in range(200):
+        assert random_automorphism(group, ours).matrix == _stdlib_automorphism(group, ref).matrix
+    assert ours.getstate() == ref.getstate()
+
+
+def test_random_draws_refuse_an_empty_range():
+    """A zero cap raises, as randint(1, 0) does, instead of spinning on
+    getrandbits(0) == 0."""
+    group, rng = make_group([9]), random.Random(0)
+    with pytest.raises(ValueError):
+        random_distribution(group, rng, 0, 6)
+    with pytest.raises(ValueError):
+        random_distribution(group, rng, 3, 0)
+    with pytest.raises(ValueError):
+        search._below(rng.getrandbits, -1)
 
 
 def test_search_config_validation():
