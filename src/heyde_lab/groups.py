@@ -13,11 +13,11 @@ loops over all elements or pairs, here and in the modules above, read
 digit sums of the group's columns [e * s_m for e < n_m], each rotated by
 i's digit m.  ``group.elements[i]`` is the one instance of element i, with i
 as its ``index``; ``element()`` and every operation return it via
-``_reduce``.  An endomorphism's table of image indices is a digit sum, and
-``is_auto``, the kernel, image, inverse and the joint law of two forms are
-read off it; the group shares one table per matrix, up to TABLE_MEMO_ENTRIES
-indices.  It keeps one identity endomorphism and one table of the e roots
-of unity, e its exponent;
+``_reduce``.  ``group.endomorphism(matrix)`` keeps one endomorphism per
+reduced matrix, up to TABLE_MEMO_ENTRIES table indices, and every operation
+returns it.  Its table of image indices is a digit sum, and ``is_auto``, the
+kernel, image, inverse and the joint law of two forms are read off it.  The
+group keeps one table of the e roots of unity, e its exponent;
 ``root_of_unity(t)`` and a character's row, digit sums of exponents reduced
 per coordinate, read it at t mod e.  A subgroup is held as its element set.
 ``Subgroup(parent, elements)`` validates elements from outside the algebra;
@@ -32,6 +32,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Sequence
 
@@ -42,8 +43,8 @@ ENUMERATION_CAP = 10**6
 #: always consulted as the authoritative answer.
 PAIRING_TOL = 1e-9
 
-#: Most image indices a group keeps in its memo of endomorphism tables, one
-#: per group element per table; past it, tables are built but not kept.
+#: Most table indices, one per group element per endomorphism, that a group's
+#: memo of endomorphisms may hold; past it, endomorphisms are built but not kept.
 TABLE_MEMO_ENTRIES = 2**20
 
 
@@ -103,8 +104,7 @@ class FiniteAbelianGroup:
         self._elements: tuple[GroupElement, ...] | None = None
         self._negation: tuple[int, ...] | None = None
         self._roots: tuple[complex, ...] | None = None
-        self._identity: Endomorphism | None = None
-        self._tables: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
+        self._endomorphisms: dict[tuple[tuple[int, ...], ...], Endomorphism] = {}
 
     def __eq__(self, other: object) -> bool:
         return other is self or (
@@ -130,6 +130,19 @@ class FiniteAbelianGroup:
         """The element whose coordinates are coords modulo the orders."""
         orders, strides = self.cyclic_orders, self._strides
         return self.elements[sum(map(operator.mul, map(operator.mod, coords, orders), strides))]
+
+    def endomorphism(self, matrix: Sequence[Sequence[int]]) -> Endomorphism:
+        """The group's one endomorphism per reduced matrix, or a new one past the
+        memo's bound.  Only a valid matrix reduces to a memo key, so
+        Endomorphism(...) validates, and refuses, any matrix that matches none."""
+        index, orders = operator.index, self.cyclic_orders
+        key = tuple([tuple([index(a) % n for a in row]) for row, n in zip(matrix, orders)])
+        endo = self._endomorphisms.get(key) if len(matrix) == self.rank else None
+        if endo is None:
+            endo = Endomorphism(self, matrix)
+            if (len(self._endomorphisms) + 1) * self.order <= TABLE_MEMO_ENTRIES:
+                self._endomorphisms[endo.matrix] = endo
+        return endo
 
     @property
     def zero(self) -> GroupElement:
@@ -381,50 +394,31 @@ class Endomorphism:
     sum_j a[i][j] * x_j mod n_i.
 
     Well-definedness requires n_j * a[i][j] = 0 (mod n_i) for every entry;
-    the constructor rejects matrices violating it.  ``table`` holds the
-    index of alpha(x) for each element x, the group's shared table for the
-    matrix; ``is_auto``, ``kernel()``, ``image()`` and ``inverse()`` are read off it.
+    the constructor rejects matrices violating it, and ``group.endomorphism``
+    returns the group's one instance per reduced matrix.  ``table``, built on
+    first use, holds the index of alpha(x) for each element x; ``is_auto``,
+    ``kernel()``, ``image()`` and ``inverse()`` are read off it.
     """
 
     def __init__(self, group: FiniteAbelianGroup, matrix: Sequence[Sequence[int]]):
-        k = group.rank
+        k, orders = group.rank, group.cyclic_orders
         rows = [tuple(map(operator.index, row)) for row in matrix]
         if len(rows) != k or any(len(r) != k for r in rows):
             raise ValueError(f"matrix must be {k}x{k} for this group")
-        orders = group.cyclic_orders
-        reduced = []
-        for i, row in enumerate(rows):
-            new_row = []
-            for j, a in enumerate(row):
-                a %= orders[i]
-                if (orders[j] * a) % orders[i] != 0:
-                    raise IncompatibleMatrixError(
-                        i,
-                        j,
-                        a,
-                        f"entry a[{i}][{j}]={a} is incompatible: "
-                        f"{orders[j]}*{a} != 0 (mod {orders[i]})",
-                    )
-                new_row.append(a)
-            reduced.append(tuple(new_row))
         self.group = group
-        self.matrix = tuple(reduced)
-        self._table: tuple[int, ...] | None = None
-        self._adjoint: Endomorphism | None = None
+        self.matrix = tuple(tuple(a % n for a in row) for row, n in zip(rows, orders))
+        for i, j in _cartesian(range(k), repeat=2):
+            a = self.matrix[i][j]
+            if orders[j] * a % orders[i]:
+                raise IncompatibleMatrixError(i, j, a, f"entry a[{i}][{j}]={a} is incompatible: "
+                                              f"{orders[j]}*{a} != 0 (mod {orders[i]})")
 
-    @property
+    @cached_property
     def table(self) -> tuple[int, ...]:
-        """Index of alpha(x) per x, the group's table for this matrix."""
-        if self._table is None:
-            memo = self.group._tables
-            self._table = memo.get(self.matrix)
-            if self._table is None:
-                self._table = _image_table(self.group, self.matrix)
-                if (len(memo) + 1) * self.group.order <= TABLE_MEMO_ENTRIES:
-                    memo[self.matrix] = self._table
-        return self._table
+        """Index of alpha(x) per x."""
+        return _image_table(self.group, self.matrix)
 
-    @property
+    @cached_property
     def is_auto(self) -> bool:
         return len(set(self.table)) == self.group.order
 
@@ -436,7 +430,7 @@ class Endomorphism:
         )
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Endomorphism)
             and self.group == other.group
             and self.matrix == other.matrix
@@ -447,6 +441,9 @@ class Endomorphism:
 
     def __repr__(self) -> str:
         return f"Endomorphism({self.group!r}, {[list(r) for r in self.matrix]})"
+
+    def __reduce__(self):  # the copy is the canonical instance in the copied group
+        return FiniteAbelianGroup.endomorphism, (self.group, self.matrix)
 
     def _check(self, other: Endomorphism) -> None:
         if self.group != other.group:
@@ -460,7 +457,7 @@ class Endomorphism:
             [sum(map(operator.mul, row, col)) for col in columns]
             for row in self.matrix
         ]
-        return Endomorphism(self.group, prod)
+        return self.group.endomorphism(prod)
 
     def __add__(self, other: Endomorphism) -> Endomorphism:
         self._check(other)
@@ -468,10 +465,10 @@ class Endomorphism:
             [a + b for a, b in zip(ra, rb)]
             for ra, rb in zip(self.matrix, other.matrix)
         ]
-        return Endomorphism(self.group, summed)
+        return self.group.endomorphism(summed)
 
     def __neg__(self) -> Endomorphism:
-        return Endomorphism(self.group, [[-a for a in row] for row in self.matrix])
+        return self.group.endomorphism([[-a for a in row] for row in self.matrix])
 
     def __sub__(self, other: Endomorphism) -> Endomorphism:
         return self + -other
@@ -479,21 +476,19 @@ class Endomorphism:
     def __rmul__(self, n: int) -> Endomorphism:
         if not isinstance(n, int):
             return NotImplemented
-        return Endomorphism(self.group, [[n * a for a in row] for row in self.matrix])
+        return self.group.endomorphism([[n * a for a in row] for row in self.matrix])
 
     def adjoint(self) -> Endomorphism:
         """The unique map with (alpha x, y) = (x, adjoint y) for all x, y.
 
         Entry (j, i) of the adjoint is a[i][j] * n_j / n_i, an integer by the
-        compatibility congruence.  Built once per endomorphism.
+        compatibility congruence.
         """
-        if self._adjoint is None:
-            orders, k = self.group.cyclic_orders, self.group.rank
-            self._adjoint = Endomorphism(self.group, [
-                [(self.matrix[i][j] * orders[j]) // orders[i] % orders[j] for i in range(k)]
-                for j in range(k)
-            ])
-        return self._adjoint
+        orders, k = self.group.cyclic_orders, self.group.rank
+        return self.group.endomorphism([
+            [(self.matrix[i][j] * orders[j]) // orders[i] % orders[j] for i in range(k)]
+            for j in range(k)
+        ])
 
     def kernel(self) -> Subgroup:
         """{x : alpha x = 0}."""
@@ -513,26 +508,21 @@ class Endomorphism:
         group = self.group
         # the j-th basis vector has index strides[j]
         preimages = [group.elements[self.table.index(s)] for s in group._strides]
-        return Endomorphism(group, list(zip(*(x.coords for x in preimages))))
+        return group.endomorphism(list(zip(*(x.coords for x in preimages))))
 
 
-def make_endomorphism(
-    group: FiniteAbelianGroup, matrix: Sequence[Sequence[int]]
-) -> Endomorphism:
-    return Endomorphism(group, matrix)
+make_endomorphism = FiniteAbelianGroup.endomorphism
 
 
 def identity_endomorphism(group: FiniteAbelianGroup) -> Endomorphism:
-    """The identity map, built once per group."""
-    if group._identity is None:
-        group._identity = scaling_endomorphism(group, 1)
-    return group._identity
+    """The identity map."""
+    return scaling_endomorphism(group, 1)
 
 
 def scaling_endomorphism(group: FiniteAbelianGroup, n: int) -> Endomorphism:
     """The map x -> n*x."""
     k = group.rank
-    return Endomorphism(group, [[n if i == j else 0 for j in range(k)] for i in range(k)])
+    return group.endomorphism([[n if i == j else 0 for j in range(k)] for i in range(k)])
 
 
 def neg_identity_endomorphism(group: FiniteAbelianGroup) -> Endomorphism:

@@ -301,7 +301,7 @@ def random_automorphism(group: FiniteAbelianGroup, rng: random.Random) -> Endomo
                 g = math.gcd(orders[i], orders[j])
                 row.append((orders[i] // g) * _below(rng.getrandbits, g))
             matrix.append(row)
-        endo = Endomorphism(group, matrix)
+        endo = group.endomorphism(matrix)
         if endo.is_auto:
             return endo
     raise RuntimeError(f"no automorphism found in {AUTOMORPHISM_TRIES} tries")

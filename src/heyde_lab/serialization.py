@@ -70,7 +70,7 @@ def endomorphism_from_json(group: FiniteAbelianGroup, obj: Any) -> Endomorphism:
     for row in matrix:
         _require_integers(row, "endomorphism: matrix row")
     try:
-        return Endomorphism(group, matrix)
+        return group.endomorphism(matrix)
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"endomorphism: {exc}") from exc
 

@@ -39,10 +39,10 @@ from heyde_lab.distributions import (
     uniform,
 )
 from heyde_lab.groups import (
-    Endomorphism,
     GroupElement,
     annihilator,
     character,
+    make_endomorphism,
     make_group,
     scaling_endomorphism,
     subgroup_generated,
@@ -317,7 +317,7 @@ def _reference(group, pairs):
 @pytest.mark.parametrize("orders, matrix", REFERENCE_GROUPS)
 def test_law_operations_match_fraction_references(orders, matrix):
     group = make_group(orders)
-    alpha = Endomorphism(group, matrix)
+    alpha = make_endomorphism(group, matrix)
     assert any(a for i, row in enumerate(alpha.matrix) for j, a in enumerate(row) if i != j)
     assert len(set(alpha.table)) < group.order  # images collide: masses are summed
     rng = random.Random(group.order)

@@ -1,5 +1,6 @@
 import cmath
 import copy
+import io
 import math
 import pickle
 import random
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 
-from heyde_lab import groups, verify
+from heyde_lab import cli, groups, verify
 from heyde_lab.groups import (
     Endomorphism,
     IncompatibleMatrixError,
@@ -27,6 +28,7 @@ from heyde_lab.groups import (
 )
 from heyde_lab.distributions import uniform
 from heyde_lab.predicates import canonical_instance
+from heyde_lab.serialization import SchemaError, endomorphism_from_json
 
 SMALL_ORDERS = [[5], [9], [2, 3], [3, 3], [4], [12]]
 
@@ -252,6 +254,35 @@ def test_incompatible_entry_reported():
     assert err.value.row == 0 and err.value.col == 1
 
 
+@pytest.mark.parametrize(
+    "matrix, error, message, json_message",
+    [
+        ([[1, 0], [0, 1], [0, 0]], ValueError, "matrix must be 2x2 for this group", None),
+        ([[1, 1], [0, 1]], IncompatibleMatrixError,
+         "entry a[0][1]=1 is incompatible: 3*1 != 0 (mod 9)", None),
+        ([[1.5, 0], [0, 1]], TypeError, "'float' object cannot be interpreted as an integer",
+         "endomorphism: matrix row: expected a list of integers, got [1.5, 0]"),
+    ],
+)
+def test_malformed_matrix_errors_leave_the_memo_alone(matrix, error, message, json_message):
+    """The factory, a direct build and the JSON reader refuse a malformed
+    matrix as before; the first 2x2 rows of the 3x2 one are the identity,
+    which the memo holds, and no refusal adds to or replaces a memo entry."""
+    group = make_group([9, 3])
+    kept = [identity_endomorphism(group), scaling_endomorphism(group, 2)]
+    for build in (make_endomorphism, Endomorphism):
+        with pytest.raises(error) as err:
+            build(group, matrix)
+        assert type(err.value) is error and str(err.value) == message
+        if error is IncompatibleMatrixError:
+            assert (err.value.row, err.value.col, err.value.entry) == (0, 1, 1)
+    with pytest.raises(SchemaError) as err:
+        endomorphism_from_json(group, {"matrix": matrix})
+    assert str(err.value) == (json_message or "endomorphism: " + message)
+    assert len(group._endomorphisms) == 2
+    assert all(group._endomorphisms[e.matrix] is e for e in kept)
+
+
 def test_matrix_entries_reduced():
     g5 = make_group([5])
     assert make_endomorphism(g5, [[7]]).matrix == ((2,),)
@@ -284,8 +315,9 @@ def test_adjoint_formula_example():
 
 @pytest.mark.parametrize("orders", [[5], [9, 3], [4, 6], [2, 4, 8]])
 def test_adjoint_cached_and_table_matches_formula(orders):
-    """One adjoint per endomorphism, whose table is the matrix formula
-    applied to each element and satisfies (alpha x, y) = (x, adjoint y)."""
+    """One adjoint per endomorphism, the group's instance for its matrix,
+    whose table is the matrix formula applied to each element and satisfies
+    (alpha x, y) = (x, adjoint y)."""
     group = make_group(orders)
     rng = random.Random(len(orders))
     k = group.rank
@@ -295,9 +327,10 @@ def test_adjoint_cached_and_table_matches_formula(orders):
             [orders[i] // gcds[i][j] * rng.randrange(gcds[i][j]) for j in range(k)]
             for i in range(k)
         ]
-        endo = Endomorphism(group, matrix)
+        endo = make_endomorphism(group, matrix)
         adj = endo.adjoint()
-        assert adj is endo.adjoint()
+        assert adj is endo.adjoint() is group.endomorphism(adj.matrix)
+        assert adj.adjoint() is endo
         formula = [
             group.element([
                 sum(matrix[i][j] * orders[j] // orders[i] * y.coords[i] for i in range(k))
@@ -367,12 +400,13 @@ def test_compose_add_invert():
 
 
 def test_identity_endomorphism_built_once_per_group(monkeypatch):
-    """One identity per group, equal to the scaling by 1; a copied group
-    builds its own, and a second canonical instance builds no endomorphism."""
+    """One identity per group, the memo's entry for the identity matrix; a
+    copied group builds its own, and a second canonical instance builds no
+    endomorphism."""
     group = make_group([3, 9])
     ident = identity_endomorphism(group)
     assert identity_endomorphism(group) is ident
-    assert ident == scaling_endomorphism(group, 1)
+    assert scaling_endomorphism(group, 1) is group._endomorphisms[((1, 0), (0, 1))] is ident
     for twin in (pickle.loads(pickle.dumps(group)), copy.deepcopy(group)):
         twin_ident = identity_endomorphism(twin)
         assert twin_ident is not ident and twin_ident.group is twin
@@ -393,33 +427,51 @@ def test_identity_endomorphism_built_once_per_group(monkeypatch):
 
 
 def test_equal_matrices_share_one_table_per_group():
-    """Endomorphisms with one reduced matrix on one group share one table
-    tuple; an equal group, a pickled and a deep-copied group build their own."""
+    """Endomorphisms with one reduced matrix on one group are one object with
+    one table; a direct Endomorphism(...) is equal but not shared, and an
+    equal, a pickled and a deep-copied group each build their own."""
     z5 = make_group([5])
-    table = scaling_endomorphism(z5, 3).table
-    assert scaling_endomorphism(z5, 8).table is table
-    assert Endomorphism(z5, [[-2]]).table is table
+    three = scaling_endomorphism(z5, 3)
+    assert scaling_endomorphism(z5, 8) is three
+    assert make_endomorphism(z5, [[-2]]) is three
+    direct = Endomorphism(z5, [[-2]])
+    assert direct == three and direct is not three
+    assert z5._endomorphisms == {((3,),): three}
     group = make_group([9, 3])
-    alpha = Endomorphism(group, [[2, 3], [1, 2]])
-    assert alpha.adjoint().table is Endomorphism(group, alpha.adjoint().matrix).table
-    assert (alpha + alpha).table is (2 * alpha).table
+    alpha = make_endomorphism(group, [[2, 3], [1, 2]])
+    assert alpha.adjoint() is make_endomorphism(group, alpha.adjoint().matrix)
+    assert (alpha + alpha) is (2 * alpha)
     for twin in (make_group([9, 3]), pickle.loads(pickle.dumps(group)), copy.deepcopy(group)):
-        twin_table = Endomorphism(twin, alpha.matrix).table
-        assert twin_table == alpha.table and twin_table is not alpha.table
-        assert twin._tables.keys() == {alpha.matrix}
+        twin_alpha = make_endomorphism(twin, alpha.matrix)
+        assert twin_alpha == alpha and twin_alpha is not alpha
+        assert twin_alpha.table == alpha.table and twin_alpha.table is not alpha.table
+        assert list(twin._endomorphisms.values()) == [twin_alpha]
+
+
+def test_copied_endomorphism_is_the_copied_groups_instance():
+    """A pickled or deep-copied endomorphism is its copied group's one
+    instance for the matrix and carries no table built before the copy."""
+    group = make_group([9, 3])
+    alpha = make_endomorphism(group, [[2, 3], [1, 2]])
+    assert alpha.is_auto
+    for copied in (copy.deepcopy(alpha), pickle.loads(pickle.dumps(alpha))):
+        assert copied == alpha and copied.group is not group
+        assert copied.group.endomorphism(alpha.matrix) is copied
+        assert "table" not in vars(copied) and "is_auto" not in vars(copied)
+        assert copied.table == alpha.table
 
 
 def test_table_memo_stops_at_its_bound(monkeypatch):
-    """The memo keeps tables while they hold at most TABLE_MEMO_ENTRIES
-    indices; later tables are built on each use and still equal the formula."""
+    """The memo keeps endomorphisms while their tables hold at most
+    TABLE_MEMO_ENTRIES indices; later ones are built on each use, and their
+    tables still equal the formula."""
     z9 = make_group([9])
     monkeypatch.setattr(groups, "TABLE_MEMO_ENTRIES", 3 * z9.order)
-    tables = [scaling_endomorphism(z9, c).table for c in range(9)]
-    assert list(z9._tables) == [((c,),) for c in range(3)]
-    for c, table in enumerate(tables):
-        assert table == tuple(c * x % 9 for x in range(9))
-        shared = scaling_endomorphism(z9, c).table is table
-        assert shared == (c < 3)
+    endos = [scaling_endomorphism(z9, c) for c in range(9)]
+    assert list(z9._endomorphisms) == [((c,),) for c in range(3)]
+    for c, endo in enumerate(endos):
+        assert endo.table == tuple(c * x % 9 for x in range(9))
+        assert (scaling_endomorphism(z9, c) is endo) == (c < 3)
 
 
 def test_corollary3_builds_one_table_per_matrix(monkeypatch):
@@ -435,6 +487,32 @@ def test_corollary3_builds_one_table_per_matrix(monkeypatch):
     monkeypatch.setattr(groups, "_image_table", counted)
     assert verify.suite_corollary3(seed=0, trials=200).passed
     assert len(built) == len(set(built)) == 16
+
+
+def test_verify_builds_each_endomorphism_once(monkeypatch, tmp_path):
+    """A seed-1 verify --suite all run builds one Endomorphism per distinct
+    (group object, reduced matrix); the adjoint of the adjoint is the
+    endomorphism itself, and is_auto builds its set once per object."""
+    builds = []
+    original = Endomorphism.__init__
+
+    def counted(self, group, matrix):
+        original(self, group, matrix)
+        builds.append((group, self.matrix))
+
+    monkeypatch.setattr(Endomorphism, "__init__", counted)
+    argv = ["verify", "--suite", "all", "--seed", "1", "--out", str(tmp_path / "r.json")]
+    assert cli.run(argv, out=io.StringIO()) == 0
+    assert len(builds) > 500
+    assert len({(id(group), matrix) for group, matrix in builds}) == len(builds)
+
+    group = make_group([9, 3])
+    endo = make_endomorphism(group, [[1, 3], [0, 1]])
+    assert endo.adjoint().matrix == ((1, 0), (1, 1)) and endo.adjoint().adjoint() is endo
+    sets = []
+    monkeypatch.setattr(groups, "set", lambda items: sets.append(1) or set(items), raising=False)
+    assert [endo.is_auto for _ in range(3)] == [True] * 3
+    assert len(sets) == 1
 
 
 def test_invert_non_automorphism_rejected():

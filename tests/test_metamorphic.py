@@ -39,7 +39,7 @@ from heyde_lab.distributions import (
     push_forward,
     shift,
 )
-from heyde_lab.groups import Endomorphism, make_endomorphism, make_group, scaling_endomorphism
+from heyde_lab.groups import make_endomorphism, make_group, scaling_endomorphism
 from heyde_lab.predicates import canonical_instance, is_conditionally_symmetric
 from heyde_lab.search import (
     SearchConfig,
@@ -197,7 +197,7 @@ def test_r5_products_are_symmetric_exactly_when_both_factors_are(seed):
     (x, alpha), (y, beta) = _instance(rng, small), _instance(rng)
     kx, ky = x.rank, y.rank
     group = make_group(x.cyclic_orders + y.cyclic_orders)
-    block = Endomorphism(
+    block = make_endomorphism(
         group,
         [list(row) + [0] * ky for row in alpha.matrix]
         + [[0] * kx + list(row) for row in beta.matrix],

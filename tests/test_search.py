@@ -14,6 +14,7 @@ from heyde_lab.distributions import Distribution
 from heyde_lab.groups import (
     Endomorphism,
     identity_endomorphism,
+    make_endomorphism,
     make_group,
     neg_identity_endomorphism,
     scaling_endomorphism,
@@ -178,7 +179,7 @@ def _stdlib_automorphism(group, rng):
             [(a // math.gcd(a, b)) * rng.randrange(math.gcd(a, b)) for b in orders]
             for a in orders
         ]
-        endo = Endomorphism(group, matrix)
+        endo = make_endomorphism(group, matrix)
         if endo.is_auto:
             return endo
 

@@ -1,0 +1,75 @@
+"""An oracle for grid_scan that shares no code with search.
+
+Where alpha - I is an automorphism, the joint cell (s, t) = (x + y, x + alpha y)
+of each pair (x, y) has exactly one preimage, so P(s, t) = P(s, -t) on every
+cell says mu1(x) mu2(y) = mu1(x') mu2(y') for the involution
+sigma(x, y) = (x', y'), the preimage of (s, -t).  A support pair (A, B) is
+therefore feasible exactly when sigma maps A x B onto itself, and then the
+uniform laws on A and B are a symmetric pair.  For alpha = -I, sigma swaps x
+and y, so the symmetric pairs are exactly those with mu1 = mu2.
+"""
+
+from fractions import Fraction
+from itertools import combinations, product
+
+import pytest
+
+from heyde_lab.groups import make_endomorphism, make_group
+from heyde_lab.search import SearchConfig, grid_scan
+
+CAPS = SearchConfig(support_size_cap=3, denominator_cap=6, random_trials=0)
+
+
+def _sigma(group, alpha):
+    """sigma as a dict on index pairs, read off alpha's index table."""
+    elements, act = group.elements, alpha.table
+    cells = {}
+    for x, y in product(elements, repeat=2):
+        cells[x + y, x + elements[act[y.index]]] = (x.index, y.index)
+    assert len(cells) == group.order**2  # one preimage per cell
+    return {pair: cells[s, -t] for (s, t), pair in cells.items()}
+
+
+def _supports(group):
+    return [c for m in range(1, CAPS.support_size_cap + 1)
+            for c in combinations(range(group.order), m)]
+
+
+@pytest.mark.parametrize(
+    "orders, matrix",
+    [([5], [[2]]), ([7], [[3]]), ([3, 3], [[0, 1], [2, 0]])],
+)
+def test_feasible_support_pairs_are_the_sigma_invariant_ones(orders, matrix):
+    group = make_group(orders)
+    alpha = make_endomorphism(group, matrix)
+    sigma = _sigma(group, alpha)
+    invariant = set()
+    for a, b in product(_supports(group), repeat=2):
+        cells = set(product(a, b))
+        if {sigma[p] for p in cells} == cells:
+            invariant.add((a, b))
+    hits = grid_scan(group, alpha, CAPS).hits
+    cap = CAPS.support_size_cap
+    within_cap = [h for h in hits if len(h.mu1.indices) <= cap and len(h.mu2.indices) <= cap]
+    assert {(h.mu1.indices, h.mu2.indices) for h in within_cap} == invariant
+    uniform = {(h.mu1.indices, h.mu2.indices) for h in within_cap
+               if set(h.mu1.numerators) == set(h.mu2.numerators) == {1}}
+    assert uniform == invariant
+
+
+def _law(mu):
+    return mu.indices, tuple(Fraction(w, mu.denominator) for w in mu.numerators)
+
+
+def test_minus_identity_hits_are_the_equal_pairs():
+    group = make_group([9])
+    hits = grid_scan(group, make_endomorphism(group, [[-1]]), CAPS).hits
+    assert all(_law(h.mu1) == _law(h.mu2) for h in hits)
+    # every law within the caps, and the uniform law on the whole group, the
+    # one coset above the support cap
+    laws = {(tuple(range(9)), (Fraction(1, 9),) * 9)}
+    for support in _supports(group):
+        for weights in product(range(1, 7), repeat=len(support)):
+            if sum(weights) <= CAPS.denominator_cap:
+                laws.add((support, tuple(Fraction(w, sum(weights)) for w in weights)))
+    assert sorted(_law(h.mu1) for h in hits) == sorted(laws)
