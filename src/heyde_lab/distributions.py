@@ -285,7 +285,7 @@ def _character_sums(group: FiniteAbelianGroup, terms: Iterable[tuple]) -> list[c
     """sum of c * (x, y) over the (index of x, c) terms, for each element y in order."""
     out = [0j] * group.order
     for i, c in terms:
-        out = [acc + c * z for acc, z in zip(out, group.character_row(group.elements[i]))]
+        out = [acc + c * z for acc, z in zip(out, group._character_row(i))]
     return out
 
 

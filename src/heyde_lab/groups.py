@@ -14,12 +14,17 @@ digit sums of the group's columns [e * s_m for e < n_m], each rotated by
 i's digit m.  ``group.elements[i]`` is the one instance of element i, with i
 as its ``index``; ``element()`` and every operation return it via
 ``_reduce``.  ``group.endomorphism(matrix)`` keeps one endomorphism per
-reduced matrix, up to TABLE_MEMO_ENTRIES table indices, and every operation
-returns it.  Its table of image indices is a digit sum, and ``is_auto``, the
-kernel, image, inverse and the joint law of two forms are read off it.  The
-group keeps one table of the e roots of unity, e its exponent;
-``root_of_unity(t)`` and a character's row, digit sums of exponents reduced
-per coordinate, read it at t mod e.  A subgroup is held as its element set.
+reduced matrix and every operation returns it.  Its table of image indices
+is a digit sum, and ``is_auto``, the kernel, image, inverse and the joint law
+of two forms are read off it.  The group keeps one table of the e roots of
+unity, e its exponent; ``root_of_unity(t)`` and a character's row, digit
+sums of exponents reduced per coordinate, read it at t mod e.  The group
+keeps each translation row, built on first use as a read-only typed view of
+1, 2 or 4 bytes per index as its order needs, and each character row, a
+tuple of its shared roots.  Each of the three memos stops at
+TABLE_MEMO_ENTRIES entries; past it, rows and endomorphisms are built but not
+kept, and a pickled or copied group starts with all three empty.  A
+subgroup is held as its element set.
 ``Subgroup(parent, elements)`` validates elements from outside the algebra;
 ``Subgroup._closed`` trusts a closure, kernel, image or annihilator, which
 algebra built closed.  An annihilator keeps the y of pairing exponent 0
@@ -31,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _cartesian
@@ -43,8 +49,9 @@ ENUMERATION_CAP = 10**6
 #: always consulted as the authoritative answer.
 PAIRING_TOL = 1e-9
 
-#: Most table indices, one per group element per endomorphism, that a group's
-#: memo of endomorphisms may hold; past it, endomorphisms are built but not kept.
+#: Most entries, one per group element per kept endomorphism, translation row
+#: or character row, that each of a group's three memos may hold; past it,
+#: they are built but not kept.
 TABLE_MEMO_ENTRIES = 2**20
 
 
@@ -77,6 +84,23 @@ def _image_table(group: FiniteAbelianGroup, matrix: Sequence[Sequence[int]]) -> 
     return tuple(map(sum, zip(*images)))
 
 
+def _build_translation_row(group: FiniteAbelianGroup, i: int) -> memoryview:
+    """Index of x_i + x_j for each element index j: the columns rotated by
+    i's digits, viewed over immutable bytes."""
+    sums = _digit_sums(col[c:] + col[:c] for col, c in zip(group._columns, group._digits(i)))
+    return memoryview(array(group._typecode, sums).tobytes()).cast(group._typecode)
+
+
+def _build_character_row(group: FiniteAbelianGroup, i: int) -> tuple[complex, ...]:
+    """(x_i, y) for each element y, in element order, read off the root table."""
+    e, roots = group.exponent, group._root_table()
+    exponents = _digit_sums(
+        [a * w * k % e for k in range(n)]
+        for a, n, w in zip(group._digits(i), group.cyclic_orders, group._pair_weights)
+    )
+    return tuple([roots[t % e] for t in exponents])
+
+
 class FiniteAbelianGroup:
     """Z_{n_1} x ... x Z_{n_k} with a fixed lexicographic element order."""
 
@@ -94,17 +118,23 @@ class FiniteAbelianGroup:
             )
         self.cyclic_orders = orders
         self.order = order
-        self.rank = len(orders)
+        self.rank = k = len(orders)
         self.exponent = math.lcm(*orders)
         # weights turning the pairing sum into a single residue mod exponent
         self._pair_weights = tuple(self.exponent // n for n in orders)
         # lexicographic order: the last coordinate varies fastest
         self._strides = tuple(math.prod(orders[m + 1 :]) for m in range(self.rank))
         self._columns = tuple([e * s for e in range(n)] for n, s in zip(orders, self._strides))
+        # the smallest unsigned item that holds every index
+        self._typecode = "B" if order <= 1 << 8 else "H" if order <= 1 << 16 else "I"
+        # the identity endomorphism's memo key
+        self._identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
         self._elements: tuple[GroupElement, ...] | None = None
         self._negation: tuple[int, ...] | None = None
         self._roots: tuple[complex, ...] | None = None
         self._endomorphisms: dict[tuple[tuple[int, ...], ...], Endomorphism] = {}
+        self._translations: dict[int, memoryview] = {}
+        self._characters: dict[int, tuple[complex, ...]] = {}
 
     def __eq__(self, other: object) -> bool:
         return other is self or (
@@ -140,9 +170,15 @@ class FiniteAbelianGroup:
         endo = self._endomorphisms.get(key) if len(matrix) == self.rank else None
         if endo is None:
             endo = Endomorphism(self, matrix)
-            if (len(self._endomorphisms) + 1) * self.order <= TABLE_MEMO_ENTRIES:
-                self._endomorphisms[endo.matrix] = endo
+            self._keep(self._endomorphisms, endo.matrix, endo)
         return endo
+
+    def _keep(self, memo: dict, key, value):
+        """value, kept in memo under key while the memo holds at most
+        TABLE_MEMO_ENTRIES entries, one per group element per value."""
+        if (len(memo) + 1) * self.order <= TABLE_MEMO_ENTRIES:
+            memo[key] = value
+        return value
 
     @property
     def zero(self) -> GroupElement:
@@ -172,10 +208,16 @@ class FiniteAbelianGroup:
             self._negation = tuple(_digit_sums(col[:1] + col[:0:-1] for col in self._columns))
         return self._negation
 
-    def translation_row(self, i: int) -> list[int]:
-        """Index of x_i + x_j for each element index j: the columns rotated by i's digits."""
-        digits = (i // s % n for n, s in zip(self.cyclic_orders, self._strides))
-        return _digit_sums(col[c:] + col[:c] for col, c in zip(self._columns, digits))
+    def _digits(self, i: int) -> Iterator[int]:
+        """The coordinates of element index i."""
+        return (i // s % n for n, s in zip(self.cyclic_orders, self._strides))
+
+    def translation_row(self, i: int) -> memoryview:
+        """Index of x_i + x_j for each element index j, kept up to the memo's bound."""
+        row = self._translations.get(i)
+        if row is None:
+            row = self._keep(self._translations, i, _build_translation_row(self, i))
+        return row
 
     def pairing_exponent(self, x: GroupElement, y: GroupElement) -> int:
         """Integer t with (x, y) = exp(2*pi*i*t / exponent), 0 <= t < exponent."""
@@ -197,12 +239,14 @@ class FiniteAbelianGroup:
 
     def character_row(self, x: GroupElement) -> list[complex]:
         """character(x, y) for each element y, in element order."""
-        e, roots = self.exponent, self._root_table()
-        exponents = _digit_sums(
-            [a * w * k % e for k in range(n)]
-            for a, n, w in zip(x.coords, self.cyclic_orders, self._pair_weights)
-        )
-        return [roots[t % e] for t in exponents]
+        return list(self._character_row(x.index))
+
+    def _character_row(self, i: int) -> tuple[complex, ...]:
+        """(x_i, y) for each element y, kept up to the memo's bound."""
+        row = self._characters.get(i)
+        if row is None:
+            row = self._keep(self._characters, i, _build_character_row(self, i))
+        return row
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -515,8 +559,8 @@ make_endomorphism = FiniteAbelianGroup.endomorphism
 
 
 def identity_endomorphism(group: FiniteAbelianGroup) -> Endomorphism:
-    """The identity map."""
-    return scaling_endomorphism(group, 1)
+    """The identity map: the memo's entry for the group's reduced identity matrix."""
+    return group._endomorphisms.get(group._identity) or group.endomorphism(group._identity)
 
 
 def scaling_endomorphism(group: FiniteAbelianGroup, n: int) -> Endomorphism:

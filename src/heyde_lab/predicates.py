@@ -156,10 +156,10 @@ def joint_of_forms(inst: FormsInstance) -> JointDistribution:
             (inst.mu2, inst.alpha2.table, inst.beta2.table),
         )
     )
-    rows = {i: group.translation_row(i) for i in {i for u, v, _ in first for i in (u, v)}}
+    row_of = group.translation_row
     cells = accumulate(
         (row_u[u] * n + row_v[v], w1 * w2)
-        for row_u, row_v, w1 in [(rows[u], rows[v], w) for u, v, w in first]
+        for row_u, row_v, w1 in [(row_of(u), row_of(v), w) for u, v, w in first]
         for u, v, w2 in second
     )
     return JointDistribution.from_cells(group, cells, inst.mu1.denominator * inst.mu2.denominator)
@@ -261,13 +261,8 @@ def independence_equation_check(inst: FormsInstance, tol: float = CHAR_TOL) -> b
         for coeff in (inst.alpha1, inst.alpha2, inst.beta1, inst.beta2)
     )
     b_terms = [(v1, v2, f1[v1], f2[v2]) for v1, v2 in zip(b1, b2)]
-    last1 = last2 = None
     for u1, u2 in zip(a1, a2):
-        # consecutive u often share a value (a zero adjoint repeats 0), so reuse its row
-        if u1 != last1:
-            row1, last1 = group.translation_row(u1), u1
-        if u2 != last2:
-            row2, last2 = group.translation_row(u2), u2
+        row1, row2 = group.translation_row(u1), group.translation_row(u2)
         fu = f1[u1] * f2[u2]
         for v1, v2, g1, g2 in b_terms:
             if not abs(f1[row1[v1]] * f2[row2[v2]] - fu * g1 * g2) <= tol:

@@ -474,6 +474,119 @@ def test_table_memo_stops_at_its_bound(monkeypatch):
         assert (scaling_endomorphism(z9, c) is endo) == (c < 3)
 
 
+def _count_row_builds(monkeypatch):
+    """Wrap both row builders; the lists collect the (group, index) of each build."""
+    built = {"translation": [], "character": []}
+    for kind in built:
+        name = f"_build_{kind}_row"
+        original = getattr(groups, name)
+
+        def counted(group, i, log=built[kind], original=original):
+            log.append((group, i))
+            return original(group, i)
+
+        monkeypatch.setattr(groups, name, counted)
+    return built
+
+
+def test_each_row_is_built_once_per_group(monkeypatch):
+    """Repeated requests for a translation or character row return the
+    group's one row, built on first use."""
+    built = _count_row_builds(monkeypatch)
+    group = make_group([4, 3])
+    n = group.order
+    kept = [(group.translation_row(i), group._character_row(i)) for i in range(n)]
+    for _ in range(2):
+        for i, (row, chars) in enumerate(kept):
+            assert group.translation_row(i) is row and group._character_row(i) is chars
+            assert group.character_row(group.elements[i]) == list(chars)
+    assert built["translation"] == built["character"] == [(group, i) for i in range(n)]
+
+
+@pytest.mark.parametrize("orders", [[4, 2], [2, 6], [9, 3], [3, 3, 3], [2, 3, 5], [300], [7, 40]])
+def test_kept_rows_equal_the_digit_sum_formula(orders):
+    """Entry j of row i: the rank of x_i + x_j digit by digit, in the
+    smallest item that holds every index; and the group's own root at the
+    pairing exponent of x_i and x_j."""
+    group = make_group(orders)
+    n, roots = group.order, group._root_table()
+    strides = [math.prod(orders[m + 1:]) for m in range(len(orders))]
+    digits = [[i // s % k for k, s in zip(orders, strides)] for i in range(n)]
+    itemsize = 1 if n <= 256 else 2
+    for i, x in enumerate(group.elements):
+        row = group.translation_row(i)
+        assert row.readonly and row.itemsize == itemsize
+        assert list(row) == [
+            sum((a + b) % k * s for a, b, k, s in zip(digits[i], digits[j], orders, strides))
+            for j in range(n)
+        ]
+        chars = group._character_row(i)
+        assert type(chars) is tuple
+        assert all(z is roots[group.pairing_exponent(x, y)] for z, y in zip(chars, group.elements))
+
+
+def test_large_group_rows_take_four_bytes_per_index():
+    group = make_group([3, 2**16])
+    n = group.order
+    row = group.translation_row(n - 1)
+    assert row.itemsize == 4 and len(row) == n
+    assert list(row[:3]) == [n - 1, n - 2**16, n - 2**16 + 1]
+
+
+def test_row_memos_stop_at_their_bound(monkeypatch):
+    """Each memo keeps rows while they hold at most TABLE_MEMO_ENTRIES
+    entries; later rows are built on each use and still equal the formula."""
+    z9 = make_group([9])
+    monkeypatch.setattr(groups, "TABLE_MEMO_ENTRIES", 3 * z9.order)
+    rows = [z9.translation_row(i) for i in range(9)]
+    chars = [z9._character_row(i) for i in range(9)]
+    assert list(z9._translations) == list(z9._characters) == [0, 1, 2]
+    for i in range(9):
+        assert list(rows[i]) == [(i + j) % 9 for j in range(9)]
+        assert chars[i] == tuple(z9.root_of_unity(i * j) for j in range(9))
+        assert (z9.translation_row(i) is rows[i]) == (z9._character_row(i) is chars[i]) == (i < 3)
+
+
+def test_equal_pickled_and_copied_groups_build_their_own_rows():
+    """An equal group, and a pickled or deep-copied one, starts with empty
+    row memos and builds equal rows of its own."""
+    group = make_group([9, 3])
+    row, chars = group.translation_row(5), group._character_row(5)
+    for twin in (make_group([9, 3]), pickle.loads(pickle.dumps(group)), copy.deepcopy(group)):
+        assert twin._translations == {} and twin._characters == {}
+        twin_row, twin_chars = twin.translation_row(5), twin._character_row(5)
+        assert twin_row == row and twin_row is not row
+        assert twin_chars == chars and twin_chars is not chars
+        assert list(twin._translations) == list(twin._characters) == [5]
+
+
+def test_translation_rows_are_read_only():
+    group = make_group([5])
+    row = group.translation_row(1)
+    with pytest.raises(TypeError):
+        row[0] = 0
+    with pytest.raises(TypeError):
+        row[:2] = b"\0\0"
+    assert list(group.translation_row(1)) == [1, 2, 3, 4, 0]
+
+
+def test_identity_lookup_reduces_no_matrix(monkeypatch):
+    """Building a canonical instance and asking whether it is canonical read
+    the group's identity straight from the memo, reducing no matrix."""
+    group = make_group([3, 9])
+    ident = identity_endomorphism(group)
+    alpha, mu = scaling_endomorphism(group, 2), uniform(group)
+    calls = []
+    original = groups.FiniteAbelianGroup.endomorphism
+    monkeypatch.setattr(
+        groups.FiniteAbelianGroup, "endomorphism",
+        lambda self, matrix: calls.append(matrix) or original(self, matrix),
+    )
+    inst = canonical_instance(group, alpha, mu, mu)
+    assert inst.is_canonical and inst.alpha1 is ident
+    assert calls == []
+
+
 def test_corollary3_builds_one_table_per_matrix(monkeypatch):
     """corollary3 draws every coefficient on one Z9 and one Z7, so it builds
     one table for each of their 9 + 7 matrices."""

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from heyde_lab import groups
 from heyde_lab.distributions import (
     CHAR_TOL,
     Distribution,
@@ -19,7 +20,6 @@ from heyde_lab.distributions import (
 )
 from heyde_lab.groups import (
     Endomorphism,
-    FiniteAbelianGroup,
     identity_endomorphism,
     make_endomorphism,
     make_group,
@@ -637,18 +637,20 @@ def test_sweeps_match_direct_loops(orders):
     assert verdicts["independence"] == {True, False}
 
 
-def test_independence_check_reuses_the_previous_translation_row(monkeypatch):
+def test_independence_check_builds_each_translation_row_once(monkeypatch):
     """With alpha = -I the derived forms' first coefficient is 0, so its
-    adjoint repeats u1 = 0: one row for it and one per u2, not two per u."""
+    adjoint repeats u1 = 0, while u2 takes every index: the group builds each
+    distinct row once, also across repeated checks."""
     g9 = make_group([9])
     mu = make_distribution(g9, {g9.element([1]): Fraction(1, 3), g9.element([4]): Fraction(2, 3)})
     derived = derived_forms_instance(
         canonical_instance(g9, neg_identity_endomorphism(g9), mu, mu)
     )
-    calls = []
-    original = FiniteAbelianGroup.translation_row
+    built = []
+    original = groups._build_translation_row
     monkeypatch.setattr(
-        FiniteAbelianGroup, "translation_row", lambda self, i: calls.append(i) or original(self, i)
+        groups, "_build_translation_row", lambda group, i: built.append(i) or original(group, i)
     )
     assert independence_equation_check(derived)
-    assert len(calls) == 1 + g9.order
+    assert independence_equation_check(derived)
+    assert sorted(built) == list(range(g9.order))

@@ -14,7 +14,9 @@ from itertools import combinations, product
 
 import pytest
 
+from heyde_lab.distributions import Distribution
 from heyde_lab.groups import make_endomorphism, make_group
+from heyde_lab.predicates import canonical_instance, is_conditionally_symmetric
 from heyde_lab.search import SearchConfig, grid_scan
 
 CAPS = SearchConfig(support_size_cap=3, denominator_cap=6, random_trials=0)
@@ -55,6 +57,29 @@ def test_feasible_support_pairs_are_the_sigma_invariant_ones(orders, matrix):
     uniform = {(h.mu1.indices, h.mu2.indices) for h in within_cap
                if set(h.mu1.numerators) == set(h.mu2.numerators) == {1}}
     assert uniform == invariant
+
+
+#: The cases of the test above, where alpha - I is an automorphism.
+SIGMA_CASES = [([5], [[2]]), ([7], [[3]]), ([3, 3], [[0, 1], [2, 0]])]
+
+
+@pytest.mark.parametrize("orders, matrix", SIGMA_CASES)
+def test_uniform_pairs_are_symmetric_exactly_on_sigma_invariant_supports(orders, matrix):
+    """The exact predicate, without the scan: the uniform laws on a support
+    pair within the cap are conditionally symmetric exactly when sigma maps
+    the pair's cells onto themselves."""
+    group = make_group(orders)
+    alpha = make_endomorphism(group, matrix)
+    sigma = _sigma(group, alpha)
+    laws = {a: Distribution.from_weights(group, list(a), [1] * len(a)) for a in _supports(group)}
+    verdicts = set()
+    for (a, mu1), (b, mu2) in product(laws.items(), repeat=2):
+        cells = set(product(a, b))
+        invariant = {sigma[p] for p in cells} == cells
+        inst = canonical_instance(group, alpha, mu1, mu2)
+        assert is_conditionally_symmetric(inst) == invariant, (a, b)
+        verdicts.add(invariant)
+    assert verdicts == {True, False}
 
 
 def _law(mu):
