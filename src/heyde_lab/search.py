@@ -8,19 +8,20 @@ enumerates exact-rational distribution pairs up to configurable support and
 denominator caps (plus one uniform candidate per coset of each larger
 subgroup, and a batch of random pairs), decides symmetry exactly for each
 pair, and classifies every symmetric hit; like the theorem, it takes alpha
-to be an automorphism and refuses any other map.  Both phases of the scan decide
-symmetry with one kernel over element indices: a support pair is feasible
-when its set of occupied joint-cell keys contains the mirror of each (one
-rule, key + flip[t], turns the cell (s, t) into (s, -t)), and first weights
-wa turn each (cell, mirror) comparison into an integer row v with
-v . wb = 0 for balancing second weights wb: the grid solves the rows once
-per wa, and the random phase tests each draw's numerators against them.
-For each first support the grid enumerates as second supports only the
-candidates inside its viable set, the elements whose cells with it can
-have their mirrors occupied; a random draw outside it is rejected at once.
-Each hit law is built and classified once per scan, and every random hit
-is confirmed by the exact predicate.  A finite-level scan over the cyclic
-p-power groups tags its outcome by the leading base-p digit of the multiplier.
+to be an automorphism and refuses any other map.  Both phases of the scan
+reject infeasible support pairs over element indices: a support pair is
+feasible when its set of occupied joint-cell keys contains the mirror of
+each (one rule, key + flip[t], turns the cell (s, t) into (s, -t)).  For
+each first support the grid enumerates as second supports only the
+candidates inside its viable set, the elements whose cells with it can have
+their mirrors occupied.  It solves for second weights wb the integer rows
+v . wb = 0 that first weights wa give, one per (cell, mirror) comparison, and
+it tests a coset's one uniform vector by comparing the sums of wa over each
+cell and its mirror.  The random phase rejects a draw outside the viable set
+or with an empty mirror, and the exact predicate decides the rest.  Each hit
+law is built and classified once per scan.  A finite-level scan over the
+cyclic p-power groups tags its outcome by the leading base-p digit of the
+multiplier.
 
 Scans are deterministic given the configuration seed: the grid phase is
 pure enumeration and the random phase is partitioned into fixed-size index
@@ -354,6 +355,7 @@ def balanced_weights(rows, vectors, cap: int | None = None) -> list:
     2 or 3 and the rows have rank m - 1, the solutions are one line (a row's
     perpendicular, or the cross product of two rows), whose primitive point
     is kept when positive, within cap and a solution.  Else each w is tested.
+    grid_scan always passes cap; the uncapped form is the tests' reference.
     """
     r = rows[0] if cap is not None and rows else ()
     line = (r[1], -r[0]) if len(r) == 2 else None
@@ -413,20 +415,20 @@ def grid_scan(
 ) -> ScanResult:
     """Enumerate distribution pairs, decide symmetry exactly, classify hits.
 
-    Both phases share one integer kernel.  With (s, t) = (x_a + y_b,
-    x_a + alpha y_b) the joint cell of support elements x_a and y_b, a
-    support pair is feasible only if its occupied cells include the mirror
-    (s, -t) of each, since an empty mirror makes every strictly positive
-    weight assignment asymmetric; a feasible pair is symmetric when each
-    cell and its mirror carry equal joint weight: rows v . wb = 0 on the
-    second weights once the first weights wa are fixed.  The grid phase
-    visits only feasible ordered support pairs and solves the rows of each
-    wa with balanced_weights.  The random phase draws config.random_trials
-    pairs in seeded partitions, rejects a draw whose second support leaves
-    the grid's viable set of its first, tests the rest's integer numerators
-    against the rows, and confirms every hit with the exact predicate,
-    raising RuntimeError on a disagreement.  Hits share their laws.  More
-    than MAX_HITS hits raise SearchSpaceError, and an alpha that is not an
+    With (s, t) = (x_a + y_b, x_a + alpha y_b) the joint cell of support
+    elements x_a and y_b, a support pair is feasible only if its occupied
+    cells include the mirror (s, -t) of each, since an empty mirror makes
+    every strictly positive weight assignment asymmetric; a feasible pair is
+    symmetric when each cell and its mirror carry equal joint weight.  The
+    grid phase visits only feasible ordered support pairs.  On a grid second
+    support, first weights wa turn the comparisons into rows v . wb = 0,
+    solved for the second weights wb by balanced_weights; a coset's one
+    uniform vector balances wa when each cell and its mirror carry equal
+    sums of wa.  The random phase draws config.random_trials pairs in seeded
+    partitions, rejects a draw whose second support leaves the grid's viable
+    set of its first or whose pair is infeasible, and lets the exact
+    predicate decide the rest.  Hits share their laws.  More than MAX_HITS
+    hits raise SearchSpaceError, and an alpha that is not an
     automorphism, outside the theorem, ValueError.  Deterministic given
     (seed, caps).
     """
@@ -554,11 +556,15 @@ def grid_scan(
             comparisons = cell_comparisons(sup_a, sup_b)
             if comparisons is None:
                 continue
-            # a coset carries only its uniform vector, not weight_vectors': test it
-            grid_cap = cap if len(sup_b) <= max_size else None
+            if len(sup_b) > max_size:  # a coset's one uniform vector: compare cell sums of wa
+                for wa in vecs_a:
+                    if all(sum(wa[i] for i, _ in cell) == sum(wa[i] for i, _ in mirror)
+                           for cell, mirror in comparisons):
+                        record_hit(law(sup_a, wa), law(sup_b, candidates[sup_b][0]), "grid")
+                continue
             for wa in vecs_a:
                 rows = balance_rows(comparisons, wa, len(sup_b))
-                for wb in balanced_weights(rows, candidates[sup_b], grid_cap):
+                for wb in balanced_weights(rows, candidates[sup_b], cap):
                     record_hit(law(sup_a, wa), law(sup_b, wb), "grid")
 
     trials_done = 0
@@ -580,18 +586,11 @@ def grid_scan(
                 if not mask >> y & 1:
                     break
             else:
-                comparisons = cell_comparisons(mu1.indices, mu2.indices)
-                if comparisons is None or not balanced_weights(
-                    balance_rows(comparisons, mu1.numerators, len(mu2.indices)), [mu2.numerators]
+                if cell_comparisons(mu1.indices, mu2.indices) is not None and (
+                    is_conditionally_symmetric(canonical_instance(group, alpha, mu1, mu2))
                 ):
-                    continue
-                if not is_conditionally_symmetric(canonical_instance(group, alpha, mu1, mu2)):
-                    raise RuntimeError(
-                        "integer symmetry kernel disagrees with the exact "
-                        "predicate on a random pair; this is a bug"
-                    )
-                record_hit(law(mu1.indices, mu1.numerators, mu1),
-                           law(mu2.indices, mu2.numerators, mu2), "random")
+                    record_hit(law(mu1.indices, mu1.numerators, mu1),
+                               law(mu2.indices, mu2.numerators, mu2), "random")
         trials_done += block
         partition += 1
 

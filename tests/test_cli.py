@@ -471,6 +471,29 @@ def test_search_output_pinned(tmp_path, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "order, caps, trials, digest",
+    [
+        (128, ("1", "1"), "0", "0315d04ab54ff083924073253fecf26aa4832513374bf87a2628e276608fbf2c"),
+        (64, ("2", "3"), "2000", "fe1e9fb6842bb7b811657089927564bb1c943e739154f14e1a63d30d6f314357"),
+    ],
+)
+def test_coset_heavy_search_output_pinned(tmp_path, monkeypatch, order, caps, trials, digest):
+    """stdout of searches with alpha = 3 whose grids pair coset candidates,
+    up to the whole group, with supports and with each other, hashed at a
+    fixed timestamp: 639 hits on Z128, and 1,367 on Z64, 24 of them from
+    the random phase."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "g.json", {"cyclic_orders": [order]})
+    write(tmp_path, "a.json", {"matrix": [[3]]})
+    code, output = run_cli(
+        ["search", "g.json", "a.json", "--support-cap", caps[0],
+         "--denominator-cap", caps[1], "--trials", trials]
+    )
+    assert code == 0
+    assert hashlib.sha256(output.encode()).hexdigest() == digest
+
+
 def test_random_phase_search_output_pinned(tmp_path, monkeypatch):
     """stdout of a search on Z15 with alpha = 7 whose 2000 random trials
     find random-phase hits, hashed at a fixed timestamp."""

@@ -517,15 +517,23 @@ def test_grid_phase_finds_every_symmetric_candidate_pair(orders, make_alpha, cap
     assert any(not r.pair_idempotent for r in result.hits) != result.kernel.is_trivial
 
 
-def test_random_hit_disagreement_raises(monkeypatch):
-    """A random hit the exact predicate rejects is a bug, not a hit."""
-    monkeypatch.setattr(search, "is_conditionally_symmetric", lambda inst: False)
+def test_exact_predicate_decides_random_draws(monkeypatch):
+    """The exact predicate alone decides a random draw that passes the
+    viable-set and occupancy rejections: with it patched to reject every
+    pair, the random phase keeps no hit and the grid's hits are unchanged."""
     group = make_group([9])
+    alpha = neg_identity_endomorphism(group)
     config = SearchConfig(
         support_size_cap=1, denominator_cap=1, random_trials=200, seed=3
     )
-    with pytest.raises(RuntimeError, match="disagrees"):
-        grid_scan(group, neg_identity_endomorphism(group), config)
+    reference = grid_scan(group, alpha, config).hits
+    assert any(r.source == "random" for r in reference)
+    monkeypatch.setattr(search, "is_conditionally_symmetric", lambda inst: False)
+    hits = grid_scan(group, alpha, config).hits
+    assert all(r.source == "grid" for r in hits)
+    assert [r.to_json() for r in hits] == [
+        r.to_json() for r in reference if r.source == "grid"
+    ]
 
 
 def test_hit_bound_admits_exactly_max_hits(monkeypatch):

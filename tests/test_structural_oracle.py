@@ -5,10 +5,14 @@ of each pair (x, y) has exactly one preimage, so P(s, t) = P(s, -t) on every
 cell says mu1(x) mu2(y) = mu1(x') mu2(y') for the involution
 sigma(x, y) = (x', y'), the preimage of (s, -t).  A support pair (A, B) is
 therefore feasible exactly when sigma maps A x B onto itself, and then the
-uniform laws on A and B are a symmetric pair.  For alpha = -I, sigma swaps x
-and y, so the symmetric pairs are exactly those with mu1 = mu2.
+uniform laws on A and B are a symmetric pair.  More generally, laws on A and B
+with numerators wa and wb are symmetric exactly when sigma maps A x B onto
+itself and wa(x) wb(y) = wa(x') wb(y') on every (x, y) in A x B.  For
+alpha = -I, sigma swaps x and y, so the symmetric pairs are exactly those with
+mu1 = mu2.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -98,3 +102,75 @@ def test_minus_identity_hits_are_the_equal_pairs():
             if sum(weights) <= CAPS.denominator_cap:
                 laws.add((support, tuple(Fraction(w, sum(weights)) for w in weights)))
     assert sorted(_law(h.mu1) for h in hits) == sorted(laws)
+
+
+#: The grid of the weighted tests: supports of at most 2 points, denominators
+#: of at most 3.
+SMALL_CAPS = SearchConfig(support_size_cap=2, denominator_cap=3, random_trials=0)
+
+
+def _grid_laws(group):
+    """(support, numerators) of every law within SMALL_CAPS, each once."""
+    laws = set()
+    for m in range(1, SMALL_CAPS.support_size_cap + 1):
+        for support in combinations(range(group.order), m):
+            for weights in product(range(1, SMALL_CAPS.denominator_cap + 1), repeat=m):
+                if sum(weights) <= SMALL_CAPS.denominator_cap and math.gcd(*weights) == 1:
+                    laws.add((support, weights))
+    return sorted(laws)
+
+
+def _weighted_symmetric(sigma, law1, law2):
+    """sigma maps A x B onto itself and wa(x) wb(y) = wa(x') wb(y') on it."""
+    wa, wb = dict(zip(*law1)), dict(zip(*law2))
+    for x, y in product(wa, wb):
+        x2, y2 = sigma[x, y]
+        if x2 not in wa or y2 not in wb or wa[x] * wb[y] != wa[x2] * wb[y2]:
+            return False
+    return True
+
+
+#: Z9 with alpha = 2: alpha - I = 1 is invertible, I + alpha = 3 is not.
+WEIGHTED_CASES = SIGMA_CASES + [([9], [[2]])]
+
+
+@pytest.mark.parametrize("orders, matrix", WEIGHTED_CASES)
+def test_weighted_pairs_are_symmetric_exactly_on_sigma_balanced_weights(orders, matrix):
+    """The exact predicate on every pair of laws in the caps-2/3 grid agrees
+    with the weighted sigma condition."""
+    group = make_group(orders)
+    alpha = make_endomorphism(group, matrix)
+    sigma = _sigma(group, alpha)
+    laws = {law: Distribution.from_weights(group, *law) for law in _grid_laws(group)}
+    verdicts, non_uniform = set(), False
+    for (law1, mu1), (law2, mu2) in product(laws.items(), repeat=2):
+        expected = _weighted_symmetric(sigma, law1, law2)
+        inst = canonical_instance(group, alpha, mu1, mu2)
+        assert is_conditionally_symmetric(inst) == expected, (law1, law2)
+        verdicts.add(expected)
+        non_uniform |= expected and set(law1[1] + law2[1]) != {1}
+    assert verdicts == {True, False}
+    if orders == [9]:
+        assert non_uniform
+
+
+def test_weighted_oracle_gives_the_grid_hits_with_cosets():
+    """On Z9 with alpha = 2 and caps 2/3, the scan's grid hits are exactly
+    the candidate pairs that meet the weighted sigma condition, where the
+    candidates are the grid's laws and the uniform laws on the cosets of
+    {0, 3, 6} and on Z9 itself, the cosets larger than the support cap."""
+    group = make_group([9])
+    alpha = make_endomorphism(group, [[2]])
+    sigma = _sigma(group, alpha)
+    cosets = {tuple(sorted((x + h) % 9 for h in (0, 3, 6))) for x in range(9)}
+    cosets.add(tuple(range(9)))
+    candidates = _grid_laws(group) + [(c, (1,) * len(c)) for c in cosets]
+    expected = sorted(
+        (law1, law2) for law1, law2 in product(candidates, repeat=2)
+        if _weighted_symmetric(sigma, law1, law2)
+    )
+    hits = grid_scan(group, alpha, SMALL_CAPS).hits
+    found = sorted(((h.mu1.indices, h.mu1.numerators), (h.mu2.indices, h.mu2.numerators))
+                   for h in hits)
+    assert found == expected
+    assert sum(len(a) > 2 or len(b) > 2 for (a, _), (b, _) in found) == 4
