@@ -92,19 +92,21 @@ class Distribution:
         self.__post_init__()
 
     def __post_init__(self):
-        """The one check of every build, made on the integer form."""
-        group, indices, nums, d = self.group, self.indices, self.numerators, self.denominator
+        """The one check of every build, made on the integer form: indices,
+        then weights, then their sum; only a failure reads the elements."""
+        indices, nums = self.indices, self.numerators
         if len(nums) != len(indices) or indices and not (
-            0 <= indices[0] and indices[-1] < group.order
-            and all(map(operator.lt, indices, indices[1:]))
+            0 <= indices[0] and indices[-1] < self.group.order
+            and (len(indices) == 1 or all(map(operator.lt, indices, indices[1:])))
         ):
             raise ValueError("support indices must increase strictly inside the group")
-        if min(nums, default=1) <= 0:
-            i, w = next((i, w) for i, w in zip(indices, nums) if w <= 0)
-            if w < 0 < d:
-                raise ValueError(f"negative probability {Fraction(w, d)} at {group.elements[i]}")
-            raise ValueError(f"nonpositive weight {w} at {group.elements[i]}")
-        if not nums or sum(nums) != d:
+        if not nums or min(nums) <= 0 or sum(nums) != self.denominator:
+            elements, d = self.group.elements, self.denominator
+            for i, w in zip(indices, nums):
+                if w < 0 < d:
+                    raise ValueError(f"negative probability {Fraction(w, d)} at {elements[i]}")
+                if w <= 0:
+                    raise ValueError(f"nonpositive weight {w} at {elements[i]}")
             raise ValueError(f"probabilities sum to {Fraction(sum(nums), d or 1)}, expected 1")
 
     @property

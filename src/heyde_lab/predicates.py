@@ -204,7 +204,7 @@ def heyde_equation_check(inst: FormsInstance, tol: float = CHAR_TOL) -> bool:
     adj = inst.beta2.adjoint().table
     pairs = [(v, minus_v) for v, minus_v in enumerate(group.negation_table()) if v <= minus_v]
     for u in range(group.order):
-        row = group.translation_row(u)
+        row = list(group.translation_row(u))  # list subscripts run faster than a memoryview's
         lhs = [f1[s] * f2[row[av]] for s, av in zip(row, adj)]
         for v, minus_v in pairs:
             if not abs(lhs[v] - lhs[minus_v]) <= tol:

@@ -269,21 +269,39 @@ def random_distribution(
     on a random support, normalized.  Every draw comes from getrandbits by
     the stdlib's rules: a fixed function of the seed that equals, state
     included, randint(1, min(support_cap, order)), sample(range(order), size)
-    and one randint(1, weight_cap) per element on CPython 3.10 to 3.13."""
+    and one randint(1, weight_cap) per element on CPython 3.10 to 3.13.  The
+    size, pool-swap and weight draws inline _randbelow's loop (see _below)."""
     bits, n = rng.getrandbits, group.order
-    size = 1 + _below(bits, min(support_cap, n))
+    m = min(support_cap, n)
+    if m < 1 or weight_cap < 1:
+        raise ValueError(f"empty range for a draw below {m if m < 1 else weight_cap}")
+    k = m.bit_length()
+    size = bits(k)
+    while size >= m:
+        size = bits(k)
+    size += 1
     if n <= 21 + (4 ** math.ceil(math.log(3 * size, 4)) if size > 5 else 0):
         pool, support = list(range(n)), []
-        for i in range(size):  # sample's pool swap
-            j = _below(bits, n - i)
+        for last in range(n - 1, n - 1 - size, -1):  # sample's pool swap below last + 1
+            k = (last + 1).bit_length()
+            j = bits(k)
+            while j > last:
+                j = bits(k)
             support.append(pool[j])
-            pool[j] = pool[n - i - 1]
+            pool[j] = pool[last]
+        support.sort()
     else:
         support = set()  # sample's rejection set
         while len(support) < size:
             support.add(_below(bits, n))
-    weights = [1 + _below(bits, weight_cap) for _ in range(size)]
-    return Distribution.from_weights(group, sorted(support), weights)
+        support = sorted(support)
+    k, weights = weight_cap.bit_length(), []
+    for _ in range(size):
+        w = bits(k)
+        while w >= weight_cap:
+            w = bits(k)
+        weights.append(1 + w)
+    return Distribution.from_weights(group, support, weights)
 
 
 #: Compatible matrices random_automorphism draws before giving up.

@@ -294,6 +294,38 @@ def test_integer_constructor_rejects(indices, weights):
         Distribution.from_weights(make_group([5]), indices, weights)
 
 
+@pytest.mark.parametrize(
+    "indices, weights, message",
+    [
+        ([3, 1], [1, 1], "support indices must increase strictly inside the group"),
+        ([2, 9], [1, 1], "support indices must increase strictly inside the group"),
+        ([-1, 2], [1, 1], "support indices must increase strictly inside the group"),
+        ([0, 1], [1], "support indices must increase strictly inside the group"),
+        ([3, 1], [0, 1], "support indices must increase strictly inside the group"),
+        ([1, 2], [1, 0], "nonpositive weight 0 at (2)"),
+        ([1, 2], [1, -1], "nonpositive weight -1 at (2)"),
+        ([1, 2], [-1, 3], "negative probability -1/2 at (1)"),
+        ([], [], "probabilities sum to 0, expected 1"),
+    ],
+)
+def test_integer_constructor_messages(indices, weights, message):
+    """Each refusal of the build check names its cause, checked in this
+    order: indices, then weights, then the sum."""
+    with pytest.raises(ValueError) as err:
+        Distribution.from_weights(make_group([9]), indices, weights)
+    assert str(err.value) == message
+
+
+def test_mass_constructor_messages():
+    g9 = make_group([9])
+    with pytest.raises(ValueError) as err:
+        Distribution(g9, {elem(g9, 1): Fraction(1, 2)})
+    assert str(err.value) == "probabilities sum to 1/2, expected 1"
+    with pytest.raises(ValueError) as err:
+        Distribution(g9, {elem(g9, 0): Fraction(3, 2), elem(g9, 1): Fraction(-1, 2)})
+    assert str(err.value) == "negative probability -1/2 at (1)"
+
+
 # ---------------------------------------------------------------------------
 # law operations against Fraction-dict references
 # ---------------------------------------------------------------------------

@@ -184,17 +184,19 @@ def _stdlib_automorphism(group, rng):
             return endo
 
 
-@pytest.mark.parametrize("order", [9, 15, 21, 27, 81, 243, 1024])
+@pytest.mark.parametrize("order", [2, 9, 15, 16, 17, 21, 27, 64, 81, 243, 1024])
 def test_random_distribution_equals_stdlib_draws(order):
     """Draws taken straight from getrandbits give the laws that randint and
     sample give on the running interpreter, and leave the same generator
     state.  sample swaps within a pool when the order is at most its set
     size (21, or 85 for sizes 6 to 8) and keeps a rejection set otherwise:
-    Z21 sits on the first bound, support cap 8 on Z27 and Z81 runs both
-    branches, and Z243 and Z1024 the rejection set at the larger size."""
+    Z21 sits on the first bound, support cap 8 on Z27, Z64 and Z81 runs both
+    branches, and Z243 and Z1024 the rejection set at the larger size.  Each
+    bound is drawn with its own bit length, so the pool sizes n - i of Z2,
+    Z16, Z17 and Z64 and the weight caps 2 and 8 step across powers of two."""
     group = make_group([order])
     for support_cap in (1, 3, 8):
-        for weight_cap in (1, 6, 12):
+        for weight_cap in (1, 2, 6, 8, 12):
             seed = order * 100 + support_cap * 10 + weight_cap
             ours, ref = random.Random(seed), random.Random(seed)
             for _ in range(200):
@@ -219,9 +221,9 @@ def test_random_draws_refuse_an_empty_range():
     """A zero cap raises, as randint(1, 0) does, instead of spinning on
     getrandbits(0) == 0."""
     group, rng = make_group([9]), random.Random(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty range for a draw below 0$"):
         random_distribution(group, rng, 0, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty range for a draw below 0$"):
         random_distribution(group, rng, 3, 0)
     with pytest.raises(ValueError):
         search._below(rng.getrandbits, -1)
