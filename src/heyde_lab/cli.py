@@ -176,19 +176,21 @@ def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
 
 def _hit_lines(manifest: dict, result: ScanResult) -> Iterator[str]:
     """json.dumps({"manifest": manifest, **hit.to_json()}, sort_keys=True) per
-    hit, spliced in key order from the scan's constant prefix, encoded once,
-    and each shared law's encoding, made once per law object."""
+    hit, spliced in key order from parts each encoded once: the scan's constant
+    prefix, each shared law object and each distinct (source, tags) tail."""
     constant = {key: result.summary[key] for key in ("alpha", "group", "kernel")}
     head = json.dumps({**constant, "manifest": manifest}, sort_keys=True)[:-1]
     laws: dict[int, tuple[str, str]] = {}  # hits keep their laws alive, so ids stay unique
+    tails: dict[tuple, str] = {}
     for r in result.hits:
         for mu, cls in ((r.mu1, r.mu1_class), (r.mu2, r.mu2_class)):
             if id(mu) not in laws:
                 laws[id(mu)] = (json.dumps(distribution_to_json(mu), sort_keys=True),
                                 json.dumps(cls, sort_keys=True))
         (d1, c1), (d2, c2) = laws[id(r.mu1)], laws[id(r.mu2)]
-        tail = json.dumps({"source": r.source, "symmetric": True, "tags": list(r.tags)})
-        yield f'{head}, "mu1": {d1}, "mu1_class": {c1}, "mu2": {d2}, "mu2_class": {c2}, {tail[1:]}'
+        if (key := (r.source, r.tags)) not in tails:
+            tails[key] = json.dumps({"source": r.source, "symmetric": True, "tags": list(r.tags)})[1:]
+        yield f'{head}, "mu1": {d1}, "mu1_class": {c1}, "mu2": {d2}, "mu2_class": {c2}, {tails[key]}'
 
 
 def cmd_padic(args: argparse.Namespace, out: TextIO) -> int:

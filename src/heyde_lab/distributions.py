@@ -71,7 +71,10 @@ class Distribution:
             raise ValueError("distribution key outside the group")
         masses, d, numerators = exact_masses(probs)
         pairs = sorted((x.index, w) for x, w in zip(masses, numerators))
-        self._build(group, [i for i, _ in pairs], [w for _, w in pairs], d)
+        self.group, self.denominator = group, d  # the masses' lcm: masses off 1 fail the check
+        self.indices, self.numerators = tuple(i for i, _ in pairs), tuple(w for _, w in pairs)
+        self._probs = None  # set at build, so a view read later keeps the attribute layout
+        self.__post_init__()
 
     @classmethod
     def from_weights(
@@ -82,14 +85,11 @@ class Distribution:
         if g > 1:
             weights = [w // g for w in weights]
         mu = cls.__new__(cls)
-        mu._build(group, indices, weights, sum(weights))
+        mu.group, mu.denominator, mu.indices, mu.numerators = (
+            group, sum(weights), tuple(indices), tuple(weights))
+        mu._probs = None
+        mu.__post_init__()
         return mu
-
-    def _build(self, group, indices, numerators, denominator) -> None:
-        self.group, self.denominator = group, denominator
-        self.indices, self.numerators = tuple(indices), tuple(numerators)
-        self._probs = None  # set at build, so a view read later keeps the attribute layout
-        self.__post_init__()
 
     def __post_init__(self):
         """The one check of every build, made on the integer form: indices,

@@ -272,7 +272,7 @@ def random_distribution(
     and one randint(1, weight_cap) per element on CPython 3.10 to 3.13.  The
     size, pool-swap and weight draws inline _randbelow's loop (see _below)."""
     bits, n = rng.getrandbits, group.order
-    m = min(support_cap, n)
+    m = support_cap if support_cap < n else n
     if m < 1 or weight_cap < 1:
         raise ValueError(f"empty range for a draw below {m if m < 1 else weight_cap}")
     k = m.bit_length()
@@ -281,9 +281,9 @@ def random_distribution(
         size = bits(k)
     size += 1
     if n <= 21 + (4 ** math.ceil(math.log(3 * size, 4)) if size > 5 else 0):
-        pool, support = list(range(n)), []
-        for last in range(n - 1, n - 1 - size, -1):  # sample's pool swap below last + 1
-            k = (last + 1).bit_length()
+        pool, support, last, stop = list(range(n)), [], n, n - size
+        while last > stop:  # sample's pool swap below last, the live pool's length
+            k, last = last.bit_length(), last - 1
             j = bits(k)
             while j > last:
                 j = bits(k)
@@ -296,11 +296,11 @@ def random_distribution(
             support.add(_below(bits, n))
         support = sorted(support)
     k, weights = weight_cap.bit_length(), []
-    for _ in range(size):
+    for _ in support:
         w = bits(k)
         while w >= weight_cap:
             w = bits(k)
-        weights.append(1 + w)
+        weights.append(w + 1)
     return Distribution.from_weights(group, support, weights)
 
 
@@ -585,18 +585,13 @@ def grid_scan(
                 for wb in balanced_weights(rows, candidates[sup_b], cap):
                     record_hit(law(sup_a, wa), law(sup_b, wb), "grid")
 
-    trials_done = 0
-    partition = 0
+    trials_done = partition = 0
     while trials_done < config.random_trials:
         rng = random.Random(config.seed + partition)
         block = min(PARTITION_SIZE, config.random_trials - trials_done)
         for _ in range(block):
-            mu1 = random_distribution(
-                group, rng, config.support_size_cap, config.denominator_cap
-            )
-            mu2 = random_distribution(
-                group, rng, config.support_size_cap, config.denominator_cap
-            )
+            mu1 = random_distribution(group, rng, config.support_size_cap, cap)
+            mu2 = random_distribution(group, rng, config.support_size_cap, cap)
             # a second support outside the first's viable set is infeasible;
             # a first support the grid lacks gets the all-ones mask -1
             mask = viable_masks.get(mu1.indices, -1)

@@ -76,7 +76,7 @@ def endomorphism_from_json(group: FiniteAbelianGroup, obj: Any) -> Endomorphism:
 
 
 def element_key(x: GroupElement) -> str:
-    return ",".join(str(c) for c in x.coords)
+    return ",".join(map(str, x.coords))
 
 
 def element_from_key(group: FiniteAbelianGroup, key: str) -> GroupElement:

@@ -1,8 +1,10 @@
-"""The benchmark's seed-1 operations (perfbench/workloads.py, imported
-read-only) print the same bytes as pinned: the sha256 of each operation's
-stdout plus its report file, with the manifest timestamp pinned as the
-benchmark pins it.  The sha256 of a workload's digests, concatenated in
-order, is the benchmark's seed-1 output_sha256.  About 2 s on 2 cores."""
+"""The benchmark's operations (perfbench/workloads.py, imported read-only)
+print the same bytes as pinned: the sha256 of each operation's stdout plus
+its report file, with the manifest timestamp pinned as the benchmark pins
+it.  The sha256 of a workload's digests, concatenated in order, is the
+benchmark's output_sha256 for that seed.  Every workload is pinned at seed
+1, and scan, whose random phase draws from the seed, at seeds 3 and 7 as
+well.  About 3 s on 2 cores."""
 
 import hashlib
 import importlib
@@ -62,16 +64,52 @@ PINS = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(PINS))
-def test_benchmark_operations_print_pinned_bytes(workload, monkeypatch, tmp_path):
+#: The scan operations' digests at more seeds of the random phase.
+SCAN_PINS = {
+    3: {
+        'search Z15 alpha=7': '085cf30bcfc6356d99d17986bd8bc1ab5d3c154e9703db8dd42b9cef84b77038',
+        'search Z9 alpha=8': '6b68a761916ae6afb9234db8ff8b28c66ff74c8668a97b36acd02ecbb93da6ac',
+    },
+    7: {
+        'search Z15 alpha=7': '996fdea7d2a1a7c781c05c3d3e46923d684ab0958b6a2046996798e106542d51',
+        'search Z9 alpha=8': 'a4600edcb737423ff17ebbe9525f59d2ab3dd78e62aa165377297fbad981f8bd',
+    },
+}
+
+#: The benchmark's output_sha256 of each pinned (workload, seed).
+OUTPUT_SHA256 = {
+    ("check", 1): '90e62c944d043bc8f384265c48ca7218ca8f025c081f03f1ba456c6a88822391',
+    ("scan", 1): '4d56a444408abd40dde8b203581709341a38439866c74ed66a4faa04bcbebb75',
+    ("scan", 3): '3ffa43907eb8118a42923f7877bfcd471aae8432cde93b262b33697e842ee509',
+    ("scan", 7): '1b3d68cf612445d2591d80d11c646ad437c045824a4e7b6106009e155de77a5e',
+    ("verify", 1): '12f2a5f04023a96318e9f721d0d6fd190069b5cfaa358ed3730aaac46f0d1043',
+}
+
+
+def _digests(workload, seed, monkeypatch, tmp_path):
+    """Each operation's digest, and the workload's output_sha256, at seed."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     monkeypatch.setenv("HEYDE_LAB_TIMESTAMP", "2000-01-01T00:00:00+00:00")
     monkeypatch.chdir(tmp_path)  # operations name their inputs relative to it
     digests = {}
-    for op in workloads.generate(workload, 1, tmp_path):
+    for op in workloads.generate(workload, seed, tmp_path):
         out = io.StringIO()
         assert cli.run(list(op.argv), out=out) == 0, op.label
         report = (tmp_path / op.out_file).read_text(encoding="utf-8") if op.out_file else ""
         digests[op.label] = hashlib.sha256((out.getvalue() + report).encode()).hexdigest()
+    return digests, hashlib.sha256("".join(digests.values()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workload", sorted(PINS))
+def test_benchmark_operations_print_pinned_bytes(workload, monkeypatch, tmp_path):
+    digests, output_sha256 = _digests(workload, 1, monkeypatch, tmp_path)
     assert digests == PINS[workload]
+    assert output_sha256 == OUTPUT_SHA256[workload, 1]
+
+
+@pytest.mark.parametrize("seed", sorted(SCAN_PINS))
+def test_scan_prints_pinned_bytes_on_more_seeds(seed, monkeypatch, tmp_path):
+    digests, output_sha256 = _digests("scan", seed, monkeypatch, tmp_path)
+    assert digests == SCAN_PINS[seed]
+    assert output_sha256 == OUTPUT_SHA256["scan", seed]

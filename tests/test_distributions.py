@@ -326,6 +326,44 @@ def test_mass_constructor_messages():
     assert str(err.value) == "negative probability -1/2 at (1)"
 
 
+def test_every_build_runs_the_check_once(monkeypatch):
+    """Each constructor, each law operation's result and each random draw
+    runs the build check exactly once on the law it returns, and every path
+    leaves the same attribute set."""
+    checked = []
+    check = vars(Distribution)["__post_init__"]
+
+    def counted(self):
+        checked.append(id(self))
+        check(self)
+
+    monkeypatch.setattr(Distribution, "__post_init__", counted)
+    g15 = make_group([3, 5])
+    mu = Distribution.from_weights(g15, [1, 4, 7], [2, 4, 2])  # reduced by the gcd
+    nu = Distribution.from_weights(g15, [0], [1])  # one point
+    builds = {
+        "from_weights": lambda: Distribution.from_weights(g15, [2, 9], [1, 3]),
+        "masses": lambda: Distribution(g15, {elem(g15, 1, 2): "1/6", elem(g15, 0, 3): "5/6"}),
+        "convolve": lambda: convolve(mu, nu),
+        "reflect": lambda: reflect(mu),
+        "push_forward": lambda: push_forward(mu, make_endomorphism(g15, [[2, 0], [0, 3]])),
+    }
+    attributes = {frozenset(vars(mu)), frozenset(vars(nu))}
+    for name, build in builds.items():
+        del checked[:]
+        law = build()
+        assert checked == [id(law)], name
+        attributes.add(frozenset(vars(law)))
+    # Z15 draws swap through sample's pool; Z5 x Z5 draws use its rejection set
+    for group in (g15, make_group([5, 5])):
+        rng = random.Random(11)
+        del checked[:]
+        draws = [random_distribution(group, rng, 3, 6) for _ in range(100)]
+        assert checked == [id(law) for law in draws]
+        attributes.update(frozenset(vars(law)) for law in draws)
+    assert len(attributes) == 1
+
+
 # ---------------------------------------------------------------------------
 # law operations against Fraction-dict references
 # ---------------------------------------------------------------------------

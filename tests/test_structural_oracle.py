@@ -174,3 +174,107 @@ def test_weighted_oracle_gives_the_grid_hits_with_cosets():
                    for h in hits)
     assert found == expected
     assert sum(len(a) > 2 or len(b) > 2 for (a, _), (b, _) in found) == 4
+
+
+def _nullspace(rows, width):
+    """A basis of {v : row . v = 0 for every row}, by exact Fraction
+    elimination to reduced row echelon form."""
+    rows = [[Fraction(c) for c in row] for row in rows]
+    pivots = []
+    for col in range(width):
+        r = next((r for r in range(len(pivots), len(rows)) if rows[r][col]), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[r] = rows[r], rows[top]
+        rows[top] = [c / rows[top][col] for c in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                rows[i] = [a - row[col] * b for a, b in zip(row, rows[top])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        v = [Fraction(0)] * width
+        v[free] = Fraction(1)
+        for row, col in zip(rows, pivots):
+            v[col] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def _log_rows(sigma, a, b):
+    """The log-linear sigma-pair system on A x B: one row per cell, in the
+    unknowns log wa (positions of A), then log wb (positions of B), reading
+    log wa(x) + log wb(y) - log wa(x') - log wb(y') = 0."""
+    pos_a, pos_b = {x: i for i, x in enumerate(a)}, {y: len(a) + j for j, y in enumerate(b)}
+    rows = []
+    for x, y in product(a, b):
+        x2, y2 = sigma[x, y]
+        row = [0] * (len(a) + len(b))
+        row[pos_a[x]] += 1
+        row[pos_b[y]] += 1
+        row[pos_a[x2]] -= 1
+        row[pos_b[y2]] -= 1
+        rows.append(row)
+    return rows
+
+
+def _powers_of_two(group, a, b, v):
+    """The laws on A and B with weights 2^(v - min v), v an integer vector
+    over the positions of A, then B."""
+    low = min(v)
+    wa, wb = [2 ** (c - low) for c in v[:len(a)]], [2 ** (c - low) for c in v[len(a):]]
+    return Distribution.from_weights(group, list(a), wa), Distribution.from_weights(group, list(b), wb)
+
+
+#: (orders, matrix, feasible support pairs within the cap, those of nullity
+#: above 2).  I + alpha is invertible in the first four, not on Z9 alpha = 2.
+NULLITY_CASES = [
+    ([5], [[2]], 5, 0),
+    ([7], [[3]], 7, 0),
+    ([13], [[5]], 13, 0),
+    ([3, 3], [[0, 1], [2, 0]], 9, 0),
+    ([9], [[2]], 21, 12),
+]
+
+
+@pytest.mark.parametrize("orders, matrix, feasible, above_two", NULLITY_CASES)
+def test_log_linear_nullity_on_feasible_support_pairs(orders, matrix, feasible, above_two):
+    """On each sigma-invariant support pair within the cap, the log-linear
+    system has nullity 2 (the constant directions on A and on B) wherever
+    I + alpha is invertible, and more on some pair on Z9 with alpha = 2.
+    The exact predicate agrees with the rank: the laws with weights 2^v are
+    symmetric for each null vector v of a basis, and not for a unit vector
+    outside the null space.  The grid's hits within the cap lie on exactly
+    these pairs, and a hit with unequal weights only on a pair of nullity
+    above 2."""
+    group = make_group(orders)
+    alpha = make_endomorphism(group, matrix)
+    sigma = _sigma(group, alpha)
+    nullity = {}
+    for a, b in product(_supports(group), repeat=2):
+        cells = set(product(a, b))
+        if {sigma[p] for p in cells} != cells:
+            continue
+        rows, width = _log_rows(sigma, a, b), len(a) + len(b)
+        basis = _nullspace(rows, width)
+        nullity[a, b] = len(basis)
+        for v in basis:
+            scale = math.lcm(*(c.denominator for c in v))
+            mu1, mu2 = _powers_of_two(group, a, b, [int(c * scale) for c in v])
+            assert is_conditionally_symmetric(canonical_instance(group, alpha, mu1, mu2)), (a, b, v)
+        for i in range(width):
+            if any(row[i] for row in rows):  # the unit vector at i is not a null vector
+                unit = [int(j == i) for j in range(width)]
+                mu1, mu2 = _powers_of_two(group, a, b, unit)
+                inst = canonical_instance(group, alpha, mu1, mu2)
+                assert not is_conditionally_symmetric(inst), (a, b, i)
+    assert min(nullity.values()) == 2
+    assert (len(nullity), sum(k > 2 for k in nullity.values())) == (feasible, above_two)
+    cap = CAPS.support_size_cap
+    for h in grid_scan(group, alpha, CAPS).hits:
+        a, b = h.mu1.indices, h.mu2.indices
+        if len(a) <= cap and len(b) <= cap:
+            assert (a, b) in nullity
+            if len(set(h.mu1.numerators + h.mu2.numerators)) > 1:
+                assert nullity[a, b] > 2, (a, b)
