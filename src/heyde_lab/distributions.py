@@ -81,12 +81,12 @@ class Distribution:
         cls, group: FiniteAbelianGroup, indices: Sequence[int], weights: Sequence[int]
     ) -> Distribution:
         """Mass w / sum(weights) on the element of each index."""
-        g = math.gcd(*weights)
-        if g > 1:
-            weights = [w // g for w in weights]
+        weights = tuple(weights)
+        if (g := math.gcd(*weights)) > 1:
+            weights = tuple([w // g for w in weights])
         mu = cls.__new__(cls)
         mu.group, mu.denominator, mu.indices, mu.numerators = (
-            group, sum(weights), tuple(indices), tuple(weights))
+            group, sum(weights), tuple(indices), weights)
         mu._probs = None
         mu.__post_init__()
         return mu

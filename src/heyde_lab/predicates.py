@@ -262,7 +262,7 @@ def independence_equation_check(inst: FormsInstance, tol: float = CHAR_TOL) -> b
     )
     b_terms = [(v1, v2, f1[v1], f2[v2]) for v1, v2 in zip(b1, b2)]
     for u1, u2 in zip(a1, a2):
-        row1, row2 = group.translation_row(u1), group.translation_row(u2)
+        row1, row2 = list(group.translation_row(u1)), list(group.translation_row(u2))
         fu = f1[u1] * f2[u2]
         for v1, v2, g1, g2 in b_terms:
             if not abs(f1[row1[v1]] * f2[row2[v2]] - fu * g1 * g2) <= tol:

@@ -228,24 +228,24 @@ def order2_construction(
 
 
 def all_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
-    """Every subgroup, grown by adjoining one element per coset at a time."""
-    trivial = subgroup_generated(group, [])
-    seen = {trivial.elements: trivial}
-    frontier = [trivial]
-    while frontier:
-        new = []
-        for sub in frontier:
-            covered = set(sub)
-            for x in group.elements:
-                if x in covered:
-                    continue
-                covered.update(x + k for k in sub)
-                grown = Subgroup._closed(group, _closure(sub.elements, [x]))
+    """Every subgroup, adjoining each uncovered x to each subgroup H found.
+    The closure lists the cosets H + m*x (m < k) in order, and those with
+    gcd(m, k) = 1 are covered: each of their elements generates it with H."""
+    subgroups = [subgroup_generated(group, [])]
+    seen = {subgroups[0].elements}
+    for sub in subgroups:
+        size, covered = len(sub), set(sub)
+        for x in group.elements:
+            if x not in covered:
+                closure = list(_closure(sub.elements, [x]))
+                k = len(closure) // size
+                covered.update(*(closure[m * size:(m + 1) * size]
+                                 for m in range(1, k) if math.gcd(m, k) == 1))
+                grown = Subgroup._closed(group, closure)
                 if grown.elements not in seen:
-                    seen[grown.elements] = grown
-                    new.append(grown)
-        frontier = new
-    return sorted(seen.values(), key=lambda s: (len(s), tuple(e.coords for e in s)))
+                    seen.add(grown.elements)
+                    subgroups.append(grown)
+    return sorted(subgroups, key=lambda s: (len(s), tuple(e.coords for e in s)))
 
 
 def _below(bits, m: int) -> int:

@@ -239,6 +239,15 @@ def test_integer_form_is_canonical():
     assert (mixed.indices, mixed.numerators, mixed.denominator) == ((0, 2, 4), (1, 2, 3), 6)
 
 
+def test_integer_constructor_reads_weights_once():
+    """Weights and indices given as generators build the same law."""
+    g5 = make_group([5])
+    expected = Distribution.from_weights(g5, [0, 1], [2, 4])
+    for weights in ([1, 2], [2, 4]):
+        mu = Distribution.from_weights(g5, (i for i in [0, 1]), (w for w in weights))
+        assert mu == expected and (mu.numerators, mu.denominator) == ((1, 2), 3)
+
+
 def test_distribution_is_unhashable():
     mu = uniform(make_group([3]))
     with pytest.raises(TypeError):

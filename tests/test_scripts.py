@@ -35,6 +35,11 @@ def run_script(name, *args):
             ["--trials", "300", "--support-cap", "2", "--denominator-cap", "4"],
             "1bd27e90665f3fdda5db5063ffbd81c2488dd017cae38b7be4145dd3acc0d9b2",
         ),
+        (
+            "census.py",
+            ["--max-order", "6"],
+            "493102d330648cabee291a18afbd6e6786176ef1b36eddbc4b13600e296c3cda",
+        ),
     ],
 )
 def test_script_output_pinned(name, args, digest):

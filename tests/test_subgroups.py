@@ -8,10 +8,11 @@ import math
 import pickle
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from heyde_lab import search
 from heyde_lab.groups import (
     Subgroup,
     annihilator,
@@ -128,7 +129,7 @@ def gaussian_binomial(n, k, q):
     return num // den
 
 
-@pytest.mark.parametrize("q,n,count", [(2, 4, 67), (2, 5, 374), (3, 3, 28)])
+@pytest.mark.parametrize("q,n,count", [(2, 4, 67), (2, 5, 374), (2, 6, 2825), (3, 3, 28)])
 def test_elementary_abelian_lattice_size(q, n, count):
     """An elementary abelian group (Z_q)^n has as many subgroups as F_q^n
     has subspaces: the sum over k of the Gaussian binomials [n, k]_q."""
@@ -141,6 +142,8 @@ def test_elementary_abelian_lattice_size(q, n, count):
     [
         ([2, 4, 4], 54, "65dad76f72dc5d402f1c31c20831de4d32bf74208f42745943fcbdb2591a29f6"),
         ([3, 9], 10, "2c8cac03ca396fcf157a0dfa586c579d785cd6553fbee5a44da9ab309dbadef2"),
+        ([1024], 11, "6557b75d953186e42e7fb849f9363e68054706c2a94124427f72e7b1ff6ab78a"),
+        ([3, 9, 27], 202, "c07e472c481814dc34a481d8bf39d0f8f194fa34a3b5e17257147e0561a65e90"),
     ],
 )
 def test_lattice_pinned(orders, count, digest):
@@ -194,3 +197,55 @@ def test_validation_accepts_exactly_the_sets_closed_under_addition(orders):
         named = group.element(int(c) for c in coords.split(","))
         assert named in subgroup_generated(group, members) and named not in members
     assert accepted >= len(all_subgroups(group))
+
+
+#: Every abelian group type of order at most 16, by invariant factors.
+TYPES_TO_16 = [
+    [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2], [9], [3, 3], [10],
+    [11], [12], [2, 6], [13], [14], [15], [16], [2, 8], [4, 4], [2, 2, 4], [2, 2, 2, 2],
+]
+
+
+def coordinate_closure(orders, generators):
+    """The subgroup the generators generate, on coordinate tuples."""
+    members = {(0,) * len(orders)}
+    frontier = list(members)
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = tuple((a + b) % n for a, b, n in zip(x, g, orders))
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return frozenset(members)
+
+
+@pytest.mark.parametrize("orders", TYPES_TO_16, ids=lambda o: "Z" + "xZ".join(map(str, o)))
+def test_lattice_is_every_closure_of_at_most_rank_elements(orders):
+    """A subgroup of a group of rank r is generated by r elements, so the
+    closures of every set of at most r elements are every subgroup; in
+    (size, coordinates) order they are the lattice the walk returns."""
+    elements = sorted(product(*map(range, orders)))
+    closures = {
+        coordinate_closure(orders, gens)
+        for r in range(len(orders) + 1)
+        for gens in combinations(elements, r)
+    }
+    expected = sorted((len(c), tuple(sorted(c))) for c in closures)
+    found = [(len(s), tuple(e.coords for e in s)) for s in all_subgroups(make_group(orders))]
+    assert found == expected
+
+
+def test_walk_adjoins_each_cyclic_extension_once(monkeypatch):
+    """Z1024's 11 subgroups take at most 100 closures: the elements of a
+    coset H + m*x with gcd(m, k) = 1 are never adjoined to H again."""
+    calls = []
+    closure = search._closure
+
+    def counted(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(search, "_closure", counted)
+    assert len(search.all_subgroups(make_group([1024]))) == 11
+    assert len(calls) <= 100
