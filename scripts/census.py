@@ -15,9 +15,13 @@ and I alone is kept.  For each case:
 - up to order 8, the grid's hits at caps 2/3 equal a brute-force exact
   decision (is_conditionally_symmetric) over every ordered candidate pair,
   in the scan's order;
-- every hit passes the characteristic-function check heyde_equation_check.
+- every hit passes the characteristic-function check heyde_equation_check;
+- the scan's candidate count, summary["grid_candidates"], equals the
+  brute-force candidate count at caps 1/1 (unless the scan refuses) and,
+  up to order 8, at caps 2/3.
 
-Prints one line per (group, alpha) and exits 1 on any disagreement.
+Prints one line per (group, alpha), naming the candidate counts only when
+they disagree, and exits 1 on any disagreement.
 
     python scripts/census.py --max-order 32
 """
@@ -99,10 +103,15 @@ def cases(max_order):
     return out
 
 
-def grid_hits(group, alpha, cap, denominator_cap):
-    """The laws (mu1, mu2) of the grid phase's hits, in the scan's order."""
+def grid_result(group, alpha, cap, denominator_cap):
+    """The scan's grid phase alone, at these caps."""
     config = SearchConfig(support_size_cap=cap, denominator_cap=denominator_cap, random_trials=0)
-    return [(hit.mu1, hit.mu2) for hit in grid_scan(group, alpha, config).hits]
+    return grid_scan(group, alpha, config)
+
+
+def hit_laws(result):
+    """The laws (mu1, mu2) of a scan's hits, in the scan's order."""
+    return [(hit.mu1, hit.mu2) for hit in result.hits]
 
 
 def weighted(pairs):
@@ -129,11 +138,10 @@ def _cosets(group):
     return out
 
 
-def brute_force_hits(group, alpha, cap=2, denominator_cap=3):
-    """Every ordered candidate pair of the grid at these caps that the exact
-    predicate accepts, in the scan's order: the supports of at most
-    min(caps) points with their weight vectors, and the uniform laws on the
-    cosets of larger subgroups."""
+def brute_force_candidates(group, cap, denominator_cap):
+    """The grid's candidates at these caps, {support: weight vectors}: the
+    supports of at most min(caps) points with their weight vectors, and the
+    uniform laws on the cosets of larger subgroups."""
     size = min(cap, denominator_cap, group.order)
     candidates = {
         support: [w for w, _ in weight_vectors(m, denominator_cap)]
@@ -143,6 +151,18 @@ def brute_force_hits(group, alpha, cap=2, denominator_cap=3):
     for h, cosets in _cosets(group):
         if len(h) > size:
             candidates.update((support, [(1,) * len(h)]) for support, _ in cosets)
+    return candidates
+
+
+def candidate_count(group, cap, denominator_cap):
+    """The number of candidate laws, one per (support, weight vector)."""
+    return sum(map(len, brute_force_candidates(group, cap, denominator_cap).values()))
+
+
+def brute_force_hits(group, alpha, cap=2, denominator_cap=3):
+    """Every ordered candidate pair of the grid at these caps that the exact
+    predicate accepts, in the scan's order."""
+    candidates = brute_force_candidates(group, cap, denominator_cap)
     laws = [
         [Distribution.from_weights(group, support, w) for w in candidates[support]]
         for support in sorted(candidates)
@@ -191,28 +211,44 @@ def _agree(same):
     return "agree" if same else "DISAGREE"
 
 
+def count_mismatches(group, scans):
+    """A report part for each scan, given as (result, cap, denominator cap),
+    whose candidate count is not the brute-force count at its caps."""
+    return [
+        f"caps {cap}/{dcap} candidates {result.summary['grid_candidates']} vs {counted} DISAGREE"
+        for result, cap, dcap in scans
+        if (counted := candidate_count(group, cap, dcap)) != result.summary["grid_candidates"]
+    ]
+
+
 def census_line(orders, matrix):
-    """One report line for the case, and whether every comparison agrees."""
+    """One report line for the case, and whether every comparison agrees; a
+    candidate count adds a part only when it disagrees."""
     group = make_group(orders)
     alpha = group.endomorphism(matrix)
+    scans = []
     try:
-        hits = grid_hits(group, alpha, 1, 1)
+        result = grid_result(group, alpha, 1, 1)
     except SearchSpaceError:
         counted = sum(1 for _ in islice(closed_form_pairs(group, alpha), MAX_HITS + 1))
         same, hits = counted > MAX_HITS, []
         parts = [f"cosets refused, closed form {_agree(same)}"]
     else:
+        hits, scans = hit_laws(result), [(result, 1, 1)]
         same = [(a.indices, b.indices) for a, b in hits] == sorted(closed_form_pairs(group, alpha))
         parts = [f"cosets {len(hits)} hits {_agree(same)}"]
     if group.order <= BRUTE_FORCE_MAX_ORDER:
-        grid = grid_hits(group, alpha, 2, 3)
+        result = grid_result(group, alpha, 2, 3)
+        grid, scans = hit_laws(result), scans + [(result, 2, 3)]
         exact = weighted(grid) == weighted(brute_force_hits(group, alpha))
         parts.append(f"grid {len(grid)} hits {_agree(exact)}")
         same, hits = same and exact, hits + grid
+    mismatches = count_mismatches(group, scans)
+    parts += mismatches
     failures = len(heyde_failures(group, alpha, hits))
     parts.append(f"heyde failures {failures}")
     alpha_text = [list(row) for row in matrix]
-    return f"{group} alpha={alpha_text}: " + "; ".join(parts), same and not failures
+    return f"{group} alpha={alpha_text}: " + "; ".join(parts), same and not (failures or mismatches)
 
 
 def main() -> int:

@@ -308,8 +308,15 @@ def run(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
         if out is not None:
             return handlers[args.command](args, out)
         if out_path and args.command != "verify":
-            with open(out_path, "w", encoding="utf-8") as fh:
-                return handlers[args.command](args, fh)
+            # the report replaces --out only once whole, so a refusal leaves it as it was
+            with open(partial := out_path + ".partial", "w", encoding="utf-8") as fh:
+                try:
+                    code = handlers[args.command](args, fh)
+                except BaseException:
+                    os.remove(partial)
+                    raise
+            os.replace(partial, out_path)
+            return code
         return handlers[args.command](args, sys.stdout)
     except (SchemaError, SearchSpaceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

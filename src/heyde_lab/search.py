@@ -417,15 +417,14 @@ class ScanResult:
         return any("red-alert-nonidempotent" in r.tags for r in self.hits)
 
 
-def _idempotent_candidates(group: FiniteAbelianGroup, max_size: int) -> list[tuple[int, ...]]:
-    """Supports of the uniform-on-coset candidates, the cosets larger than the
-    grid's max_size; a coset determines its subgroup, so each comes once."""
-    cosets = set()
-    for sub in all_subgroups(group):
-        if len(sub) > max_size:
-            rows = [group.translation_row(e.index) for e in sub]
-            cosets.update(tuple(sorted(row[x] for row in rows)) for x in range(group.order))
-    return list(cosets)
+def _coset_supports(group: FiniteAbelianGroup, subgroups: list[Subgroup]) -> list[tuple[int, ...]]:
+    """Sorted supports of every coset of each subgroup H given, each once: the
+    closure of H with all of X lists X coset by coset, in blocks of |H|."""
+    supports = []
+    for sub in subgroups:
+        size, xs = len(sub), [x.index for x in _closure(sub.elements, group.elements)]
+        supports += [tuple(sorted(xs[i:i + size])) for i in range(0, len(xs), size)]
+    return supports
 
 
 def grid_scan(
@@ -476,23 +475,24 @@ def grid_scan(
             f"search space of {grid_count}^2 grid pairs + "
             f"{config.random_trials} trials exceeds {MAX_CANDIDATES} candidates"
         )
-    weights_by_size = {m: [w for w, _ in weight_vectors(m, cap)] for m in sizes}
+    # a subgroup H larger than the grid's supports adds its n // |H| cosets, each
+    # determining H, so the total is counted from the orders before any is listed
+    subgroups = [sub for sub in all_subgroups(group) if len(sub) > max_size]
+    total_candidates = grid_count + sum(n // len(sub) for sub in subgroups)
+    if total_candidates**2 + config.random_trials > MAX_CANDIDATES:
+        raise SearchSpaceError(
+            f"search space of {total_candidates}^2 pairs exceeds {MAX_CANDIDATES}"
+        )
 
     # supports of one size share their weight list; a coset carries uniform weights
+    weights_by_size = {m: [w for w, _ in weight_vectors(m, cap)] for m in sizes}
     candidates = {
         support: vecs
         for m, vecs in weights_by_size.items()
         for support in combinations(range(n), m)
     }
-    cosets = _idempotent_candidates(group, max_size)
-    for coset in cosets:
-        candidates[coset] = [(1,) * len(coset)]
-
-    total_candidates = sum(len(v) for v in candidates.values())
-    if total_candidates**2 + config.random_trials > MAX_CANDIDATES:
-        raise SearchSpaceError(
-            f"search space of {total_candidates}^2 pairs exceeds {MAX_CANDIDATES}"
-        )
+    cosets = _coset_supports(group, subgroups)
+    candidates.update((coset, [(1,) * len(coset)]) for coset in cosets)
 
     kernel = obstruction_kernel(alpha)
 
@@ -585,11 +585,9 @@ def grid_scan(
                 for wb in balanced_weights(rows, candidates[sup_b], cap):
                     record_hit(law(sup_a, wa), law(sup_b, wb), "grid")
 
-    trials_done = partition = 0
-    while trials_done < config.random_trials:
-        rng = random.Random(config.seed + partition)
-        block = min(PARTITION_SIZE, config.random_trials - trials_done)
-        for _ in range(block):
+    for start in range(0, config.random_trials, PARTITION_SIZE):
+        rng = random.Random(config.seed + start // PARTITION_SIZE)
+        for _ in range(min(PARTITION_SIZE, config.random_trials - start)):
             mu1 = random_distribution(group, rng, config.support_size_cap, cap)
             mu2 = random_distribution(group, rng, config.support_size_cap, cap)
             # a second support outside the first's viable set is infeasible;
@@ -604,8 +602,6 @@ def grid_scan(
                 ):
                     record_hit(law(mu1.indices, mu1.numerators, mu1),
                                law(mu2.indices, mu2.numerators, mu2), "random")
-        trials_done += block
-        partition += 1
 
     summary = {
         "group": group_to_json(group),
@@ -658,14 +654,7 @@ class PadicScanReport:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def padic_scan(p: int, k: int, c: int, config: SearchConfig) -> PadicScanReport:

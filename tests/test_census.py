@@ -45,18 +45,24 @@ def test_census_covers_every_group_type():
 @pytest.mark.parametrize("case", census.cases(census.BRUTE_FORCE_MAX_ORDER), ids=case_id)
 def test_grid_hits_are_the_exactly_symmetric_pairs(case):
     """Caps 2/3: the grid's hits, in order, are the candidate pairs the exact
-    predicate accepts; these hits and the caps-1/1 ones pass the Fourier check."""
+    predicate accepts, among as many candidates as the brute force lists;
+    these hits and the caps-1/1 ones pass the Fourier check."""
     group, alpha = instance(*case)
-    hits = census.grid_hits(group, alpha, 2, 3)
+    result = census.grid_result(group, alpha, 2, 3)
+    hits = census.hit_laws(result)
     assert census.weighted(hits) == census.weighted(census.brute_force_hits(group, alpha))
-    assert census.heyde_failures(group, alpha, hits + census.grid_hits(group, alpha, 1, 1)) == []
+    assert result.summary["grid_candidates"] == census.candidate_count(group, 2, 3)
+    coset_hits = census.hit_laws(census.grid_result(group, alpha, 1, 1))
+    assert census.heyde_failures(group, alpha, hits + coset_hits) == []
 
 
 @pytest.mark.parametrize("case", census.cases(16), ids=case_id)
 def test_coset_pair_hits_are_the_closed_form(case):
-    """Caps 1/1: every candidate is uniform on a coset, and the grid's hits,
-    in order, are the pairs the closed form calls symmetric."""
+    """Caps 1/1: every candidate is uniform on a coset, the scan counts as
+    many as the brute force lists, and the grid's hits, in order, are the
+    pairs the closed form calls symmetric."""
     group, alpha = instance(*case)
-    hits = census.grid_hits(group, alpha, 1, 1)
+    result = census.grid_result(group, alpha, 1, 1)
+    assert result.summary["grid_candidates"] == census.candidate_count(group, 1, 1)
     expected = sorted(census.closed_form_pairs(group, alpha))
-    assert [(a.indices, b.indices) for a, b in hits] == expected
+    assert [(a.indices, b.indices) for a, b in census.hit_laws(result)] == expected

@@ -577,6 +577,29 @@ def test_search_out_file(tmp_path):
     assert json.loads(lines[-1])["summary"]["counts"]["other"] == 0
 
 
+def test_refused_run_keeps_the_earlier_out_report(tmp_path):
+    """A search, check or padic refused with exit 2 leaves an earlier --out
+    report byte for byte, and no partial file beside it; a run that reports
+    replaces it."""
+    group = write(tmp_path, "g.json", {"cyclic_orders": [5]})
+    alpha = write(tmp_path, "a.json", {"matrix": [[0]]})
+    instance = write(tmp_path, "inst.json", dict(KERNEL_INSTANCE, alpha={"matrix": [[0]]}))
+    out = tmp_path / "old.json"
+    earlier = b'{"an earlier": "report"}\n'
+    for argv in (
+        ["search", group, alpha, "--trials", "0"],
+        ["check", instance],
+        ["padic", "--p", "4", "--k", "2", "--c", "1"],
+    ):
+        out.write_bytes(earlier)
+        assert run([*argv, "--out", str(out)]) == 2
+        assert out.read_bytes() == earlier
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "g.json", "inst.json", "old.json"]
+    assert run(["padic", "--p", "3", "--k", "2", "--c", "1", "--trials", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["p"] == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "g.json", "inst.json", "old.json"]
+
+
 # ---------------------------------------------------------------------------
 # padic
 # ---------------------------------------------------------------------------

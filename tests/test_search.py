@@ -1,10 +1,12 @@
 import hashlib
+import importlib
 import json
 import math
 import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +43,12 @@ from heyde_lab.search import (
 )
 from heyde_lab.serialization import instance_to_json
 from heyde_lab.verify import engineered_symmetric_instances
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+with pytest.MonkeyPatch.context() as patch:
+    patch.syspath_prepend(str(SCRIPTS))
+    census = importlib.import_module("census")
 
 
 def elem(group, *coords):
@@ -586,6 +594,33 @@ def test_scan_space_guard_counts_grid_before_enumerating():
     count = 27 * 1 + 351 * 11 + 2925 * 19
     with pytest.raises(SearchSpaceError, match=rf"^search space of {count}\^2 grid"):
         grid_scan(g27, scaling_endomorphism(g27, 4), SearchConfig())
+
+
+def test_scan_counts_cosets_before_listing_them():
+    """Z3 x Z9 x Z27 with alpha = 2 at caps 1/1: 729 singletons and one
+    uniform candidate per coset of each of its nontrivial subgroups make
+    10390 candidates, counted from the subgroup orders, so the scan is
+    refused before any coset is listed or any translation row built."""
+    group = make_group([3, 9, 27])
+    config = SearchConfig(support_size_cap=1, denominator_cap=1, random_trials=0)
+    with pytest.raises(SearchSpaceError, match=r"^search space of 10390\^2 pairs exceeds"):
+        grid_scan(group, scaling_endomorphism(group, 2), config)
+    assert group._translations == {}
+
+
+@pytest.mark.parametrize("orders", census.group_types(16), ids=lambda t: "x".join(map(str, t)))
+def test_coset_supports_list_each_coset_once(orders):
+    """Above max sizes 1 and 2, the closure lists every coset of every larger
+    subgroup exactly once, as the census's coordinate cosets do."""
+    group = make_group(orders)
+    for max_size in (1, 2):
+        larger = [sub for sub in all_subgroups(group) if len(sub) > max_size]
+        expected = [
+            support
+            for h, cosets in census._cosets(group) if len(h) > max_size
+            for support, _ in cosets
+        ]
+        assert sorted(search._coset_supports(group, larger)) == sorted(expected)
 
 
 @pytest.mark.parametrize("caps,bounded", [((4, 3), (3, 3)), ((3, 1), (1, 1))])
