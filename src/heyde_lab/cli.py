@@ -63,6 +63,9 @@ EXIT_FALSE = 1
 EXIT_SCHEMA = 2
 EXIT_DISAGREEMENT = 3
 
+#: json.dumps(obj, sort_keys=True) with one encoder, not a new one per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 def _timestamp() -> str:
     pinned = os.environ.get("HEYDE_LAB_TIMESTAMP")
@@ -169,7 +172,7 @@ def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
         out.write(line)
         out.write("\n")
     summary = {"manifest": manifest, "summary": result.summary}
-    out.write(json.dumps(summary, sort_keys=True))
+    out.write(_encode(summary))
     out.write("\n")
     return EXIT_FALSE if result.red_alert else EXIT_TRUE
 
@@ -177,16 +180,20 @@ def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
 def _hit_lines(manifest: dict, result: ScanResult) -> Iterator[str]:
     """json.dumps({"manifest": manifest, **hit.to_json()}, sort_keys=True) per
     hit, spliced in key order from parts each encoded once: the scan's constant
-    prefix, each shared law object and each distinct (source, tags) tail."""
+    prefix, each shared law object, each distinct classification and each
+    distinct (source, tags) tail."""
     constant = {key: result.summary[key] for key in ("alpha", "group", "kernel")}
-    head = json.dumps({**constant, "manifest": manifest}, sort_keys=True)[:-1]
+    head = _encode({**constant, "manifest": manifest})[:-1]
     laws: dict[int, tuple[str, str]] = {}  # hits keep their laws alive, so ids stay unique
+    classes: dict[tuple, str] = {}
     tails: dict[tuple, str] = {}
     for r in result.hits:
         for mu, cls in ((r.mu1, r.mu1_class), (r.mu2, r.mu2_class)):
             if id(mu) not in laws:
-                laws[id(mu)] = (json.dumps(distribution_to_json(mu), sort_keys=True),
-                                json.dumps(cls, sort_keys=True))
+                key = (cls["kind"], str(cls["subgroup"]), str(cls["shift"]))
+                if key not in classes:
+                    classes[key] = _encode(cls)
+                laws[id(mu)] = (_encode(distribution_to_json(mu)), classes[key])
         (d1, c1), (d2, c2) = laws[id(r.mu1)], laws[id(r.mu2)]
         if (key := (r.source, r.tags)) not in tails:
             tails[key] = json.dumps({"source": r.source, "symmetric": True, "tags": list(r.tags)})[1:]

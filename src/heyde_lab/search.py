@@ -35,6 +35,7 @@ import math
 import operator
 import random
 from dataclasses import asdict, dataclass
+from functools import cache
 from itertools import combinations
 
 from .distributions import Distribution, is_degenerate, is_idempotent_shift
@@ -538,6 +539,10 @@ def grid_scan(
                 rows.append(v)
         return rows
 
+    # wb depends only on the comparisons, wa and m (fixing sup_b's weights): solve each once
+    solve = cache(lambda comparisons, wa, m: balanced_weights(
+        balance_rows(comparisons, wa, m), weights_by_size[m], cap))
+
     hits: list[SymmetryReport] = []
     laws: dict[tuple, tuple[Distribution, dict]] = {}  # built and classified once
 
@@ -580,9 +585,10 @@ def grid_scan(
                            for cell, mirror in comparisons):
                         record_hit(law(sup_a, wa), law(sup_b, candidates[sup_b][0]), "grid")
                 continue
+            # as tuples only here: a coset pair's comparisons can be |X|^2 positions
+            pattern = tuple((tuple(cell), tuple(mirror)) for cell, mirror in comparisons)
             for wa in vecs_a:
-                rows = balance_rows(comparisons, wa, len(sup_b))
-                for wb in balanced_weights(rows, candidates[sup_b], cap):
+                for wb in solve(pattern, wa, len(sup_b)):
                     record_hit(law(sup_a, wa), law(sup_b, wb), "grid")
 
     for start in range(0, config.random_trials, PARTITION_SIZE):

@@ -97,11 +97,11 @@ def fraction_from_str(s: Any) -> Fraction:
 
 
 def distribution_to_json(mu: Distribution) -> dict:
-    """Each mass w / d in lowest terms, from the integer form."""
-    d = mu.denominator
+    """Each mass w / d in lowest terms, from the indices and numerators."""
+    d, elements = mu.denominator, mu.group.elements
     return {"probs": {
-        element_key(x): f"{w // (g := math.gcd(w, d))}/{d // g}"
-        for x, w in zip(mu.support(), mu.numerators)
+        ",".join(map(str, elements[i].coords)): f"{w // (g := math.gcd(w, d))}/{d // g}"
+        for i, w in zip(mu.indices, mu.numerators)
     }}
 
 

@@ -533,13 +533,19 @@ def test_large_support_random_phase_output_pinned(tmp_path, monkeypatch):
 def test_search_hit_lines_equal_the_report_encoding():
     """Each spliced hit line equals the reference encoding of its report, on
     Z15 with alpha = 7 (grid and random-phase hits, keys such as "10" that
-    sort before "4" as strings), on Z3xZ3, and on a scan with no hits."""
+    sort before "4" as strings), on Z3xZ3, on Z9 with alpha = 8 at caps 3/6
+    (the benchmark's hit-heavy shape), on Z2xZ4, whose idempotent-shift laws
+    share a kind and a shift on different subgroups and a kind and a
+    subgroup under different shifts, and on a scan with no hits."""
     manifest = build_manifest("search", ["g.json", "a.json"], {"seed": 0})
-    z15, z3x3 = make_group([15]), make_group([3, 3])
+    z15, z3x3, z9, z2x4 = make_group([15]), make_group([3, 3]), make_group([9]), make_group([2, 4])
     config = search.SearchConfig(support_size_cap=2, denominator_cap=3, random_trials=200)
     scans = [
         search.grid_scan(z15, scaling_endomorphism(z15, 7), config),
         search.grid_scan(z3x3, make_endomorphism(z3x3, [[1, 1], [0, 1]]), config),
+        search.grid_scan(z9, scaling_endomorphism(z9, 8), dataclasses.replace(
+            config, support_size_cap=3, denominator_cap=6)),
+        search.grid_scan(z2x4, scaling_endomorphism(z2x4, 1), config),
     ]
     scans.append(dataclasses.replace(scans[0], hits=[]))
     for scan in scans:
@@ -547,10 +553,14 @@ def test_search_hit_lines_equal_the_report_encoding():
         assert lines == [
             json.dumps({"manifest": manifest, **r.to_json()}, sort_keys=True) for r in scan.hits
         ]
-    for scan in scans[:2]:
+    for scan in scans[:4]:
         assert {r.source for r in scan.hits} == {"grid", "random"}
     keys = [list(distribution_to_json(r.mu1)["probs"]) for r in scans[0].hits]
     assert any(k != sorted(k) for k in keys)
+    shifts = [c for r in scans[3].hits for c in (r.mu1_class, r.mu2_class)
+              if c["kind"] == "idempotent-shift"]
+    assert len({(str(c["subgroup"]), str(c["shift"])) for c in shifts}) > len(
+        {str(c["shift"]) for c in shifts}) > 1
 
 
 def test_search_hit_bound_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -469,8 +469,11 @@ def _viable(group, alpha, support):
         ([3, 3], lambda g: _non_diagonal_automorphism(g, 2), (2, 3), "proper"),
         ([5], neg_identity_endomorphism, (3, 5), "proper"),
         ([9], neg_identity_endomorphism, (2, 2), "coset"),
+        # pairs of 3-point supports whose cells agree and whose mirrors differ
+        ([4], neg_identity_endomorphism, (3, 4), "full"),
     ],
-    ids=["Z2xZ4", "Z15-alpha7", "Z9-minusI", "Z3xZ3", "Z5-minusI-cap3", "Z9-minusI-cap2"],
+    ids=["Z2xZ4", "Z15-alpha7", "Z9-minusI", "Z3xZ3", "Z5-minusI-cap3", "Z9-minusI-cap2",
+         "Z4-minusI-cap3"],
 )
 def test_grid_phase_finds_every_symmetric_candidate_pair(orders, make_alpha, caps, shape):
     """Brute force over every candidate pair of a scan: the grid hits are
@@ -525,6 +528,25 @@ def test_grid_phase_finds_every_symmetric_candidate_pair(orders, make_alpha, cap
     # Theorem B: hits are idempotent when Ker(I + alpha) is trivial; a
     # nontrivial kernel shows here in a non-idempotent hit
     assert any(not r.pair_idempotent for r in result.hits) != result.kernel.is_trivial
+
+
+def test_grid_solves_each_comparison_pattern_once(monkeypatch):
+    """Z9 with alpha = 8 at caps 3/6: the grid's 2,001 weight solves, one per
+    feasible grid support pair and first weight vector, share 99 distinct
+    (comparisons, first weights, second-support size) keys, and each is
+    solved once.  With the solve memo bypassed the hits are the same."""
+    group = make_group([9])
+    alpha = scaling_endomorphism(group, 8)
+    config = SearchConfig(support_size_cap=3, denominator_cap=6, random_trials=0)
+    solves = []
+    solve = search.balanced_weights
+    monkeypatch.setattr(search, "balanced_weights", lambda *args: solves.append(1) or solve(*args))
+    hits = [(r.mu1, r.mu2, r.source) for r in grid_scan(group, alpha, config).hits]
+    assert len(hits) == 2002 and len(solves) <= 99
+    solves.clear()
+    monkeypatch.setattr(search, "cache", lambda f: f)
+    assert [(r.mu1, r.mu2, r.source) for r in grid_scan(group, alpha, config).hits] == hits
+    assert len(solves) == 2001
 
 
 def test_exact_predicate_decides_random_draws(monkeypatch):
