@@ -17,11 +17,11 @@ candidates inside its viable set, the elements whose cells with it can have
 their mirrors occupied.  It solves for second weights wb the integer rows
 v . wb = 0 that first weights wa give, one per (cell, mirror) comparison, and
 it tests a coset's one uniform vector by comparing the sums of wa over each
-cell and its mirror.  The random phase rejects a draw outside the viable set
-or with an empty mirror, and the exact predicate decides the rest.  Each hit
-law is built and classified once per scan.  A finite-level scan over the
-cyclic p-power groups tags its outcome by the leading base-p digit of the
-multiplier.
+cell and its mirror.  The random phase rejects a draw whose second support
+leaves the grid's viable set of its first, or whose mirror is empty, and the
+exact predicate decides the rest.  Each hit law is built and classified once
+per scan.  A finite-level scan over the cyclic p-power groups tags its
+outcome by the leading base-p digit of the multiplier.
 
 Scans are deterministic given the configuration seed: the grid phase is
 pure enumeration and the random phase is partitioned into fixed-size index
@@ -72,6 +72,12 @@ PARTITION_SIZE = 1024
 
 #: Most symmetric hits a scan keeps; one more raises SearchSpaceError.
 MAX_HITS = 10**5
+
+#: Most subgroups all_subgroups lists; one more raises SearchSpaceError.  After
+#: grid_scan's grid guard at most isqrt(MAX_CANDIDATES) subgroups are as small as
+#: its supports (each is one), so past this bound more than isqrt are larger, each
+#: adds a coset, and the scan's candidate guard would refuse the scan anyway.
+MAX_SUBGROUPS = 2 * math.isqrt(MAX_CANDIDATES)
 
 
 class SearchSpaceError(ValueError):
@@ -162,19 +168,6 @@ class SymmetryReport:
         }
 
 
-def _report_for_hit(
-    group: FiniteAbelianGroup,
-    alpha: Endomorphism,
-    law1: tuple[Distribution, dict],
-    law2: tuple[Distribution, dict],
-    kernel: Subgroup,
-    source: str,
-) -> SymmetryReport:
-    (mu1, c1), (mu2, c2) = law1, law2
-    tags = verdict_tags(c1, c2, kernel)
-    return SymmetryReport(group, alpha, mu1, mu2, c1, c2, kernel, tags, source)
-
-
 def checked_instance(
     group: FiniteAbelianGroup,
     alpha: Endomorphism,
@@ -231,7 +224,8 @@ def order2_construction(
 def all_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
     """Every subgroup, adjoining each uncovered x to each subgroup H found.
     The closure lists the cosets H + m*x (m < k) in order, and those with
-    gcd(m, k) = 1 are covered: each of their elements generates it with H."""
+    gcd(m, k) = 1 are covered: each of their elements generates it with H.
+    A lattice of more than MAX_SUBGROUPS raises SearchSpaceError."""
     subgroups = [subgroup_generated(group, [])]
     seen = {subgroups[0].elements}
     for sub in subgroups:
@@ -244,6 +238,8 @@ def all_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
                                  for m in range(1, k) if math.gcd(m, k) == 1))
                 grown = Subgroup._closed(group, closure)
                 if grown.elements not in seen:
+                    if len(subgroups) == MAX_SUBGROUPS:
+                        raise SearchSpaceError(f"{group} has over {MAX_SUBGROUPS} subgroups")
                     seen.add(grown.elements)
                     subgroups.append(grown)
     return sorted(subgroups, key=lambda s: (len(s), tuple(e.coords for e in s)))
@@ -443,12 +439,12 @@ def grid_scan(
     solved for the second weights wb by balanced_weights; a coset's one
     uniform vector balances wa when each cell and its mirror carry equal
     sums of wa.  The random phase draws config.random_trials pairs in seeded
-    partitions, rejects a draw whose second support leaves the grid's viable
-    set of its first or whose pair is infeasible, and lets the exact
-    predicate decide the rest.  Hits share their laws.  More than MAX_HITS
-    hits raise SearchSpaceError, and an alpha that is not an
-    automorphism, outside the theorem, ValueError.  Deterministic given
-    (seed, caps).
+    partitions, rejects a draw whose second support leaves the viable set the
+    grid kept for its first (a first support the grid lacks has none) or whose
+    pair is infeasible, and lets the exact predicate decide the rest.  Hits
+    share their laws.  More than MAX_HITS hits raise SearchSpaceError, and an
+    alpha that is not an automorphism, outside the theorem, ValueError.
+    Deterministic given (seed, caps).
     """
     if alpha.group != group:
         raise ValueError("alpha acts on a different group")
@@ -487,13 +483,8 @@ def grid_scan(
 
     # supports of one size share their weight list; a coset carries uniform weights
     weights_by_size = {m: [w for w, _ in weight_vectors(m, cap)] for m in sizes}
-    candidates = {
-        support: vecs
-        for m, vecs in weights_by_size.items()
-        for support in combinations(range(n), m)
-    }
     cosets = _coset_supports(group, subgroups)
-    candidates.update((coset, [(1,) * len(coset)]) for coset in cosets)
+    candidates = sorted([sup for m in sizes for sup in combinations(range(n), m)] + cosets)
 
     kernel = obstruction_kernel(alpha)
 
@@ -544,34 +535,31 @@ def grid_scan(
         balance_rows(comparisons, wa, m), weights_by_size[m], cap))
 
     hits: list[SymmetryReport] = []
-    laws: dict[tuple, tuple[Distribution, dict]] = {}  # built and classified once
 
-    def law(support, weights, mu=None):
-        key = (support, tuple(weights))
-        if key not in laws:
-            if mu is None:
-                mu = Distribution.from_weights(group, support, weights)
-            laws[key] = (mu, classify_distribution(mu))
-        return laws[key]
+    @cache  # each hit law is built and classified once per scan
+    def law(support, weights):
+        mu = Distribution.from_weights(group, support, weights)
+        return mu, classify_distribution(mu)
 
     def record_hit(law1, law2, source):
         if len(hits) >= MAX_HITS:
             raise SearchSpaceError(
                 f"scan finds more than {MAX_HITS} symmetric hits; lower the caps"
             )
-        hits.append(_report_for_hit(group, alpha, law1, law2, kernel, source))
+        (mu1, c1), (mu2, c2) = law1, law2
+        hits.append(SymmetryReport(group, alpha, mu1, mu2, c1, c2, kernel,
+                                   verdict_tags(c1, c2, kernel), source))
 
-    viable_masks: dict[tuple[int, ...], int] = {}
-    for sup_a in sorted(candidates):
-        vecs_a = candidates[sup_a]
+    viable_sets: dict[tuple[int, ...], set[int]] = {}
+    for sup_a in candidates:
+        vecs_a = weights_by_size[len(sup_a)] if len(sup_a) <= max_size else [(1,) * len(sup_a)]
         # An element y of a feasible sup_b has the mirrors of its cells with
         # sup_a occupied by cells of sup_a x X, so sup_b lies inside viable:
-        # enumerate only those candidates, in the order of sorted(candidates).
+        # enumerate only those candidates, in the order of the candidate list.
         reach = set().union(*(keys[x] for x in sup_a))
-        viable = set(range(n))
+        viable = viable_sets[sup_a] = set(range(n))
         for x in sup_a:
             viable &= {y for y, k in enumerate(keys[x]) if k + flip[k % n] in reach}
-        viable_masks[sup_a] = sum(1 << y for y in viable)
         inside = sorted(viable)
         supports_b = [sup for m in sizes for sup in combinations(inside, m)]
         supports_b += [coset for coset in cosets if viable.issuperset(coset)]
@@ -583,7 +571,7 @@ def grid_scan(
                 for wa in vecs_a:
                     if all(sum(wa[i] for i, _ in cell) == sum(wa[i] for i, _ in mirror)
                            for cell, mirror in comparisons):
-                        record_hit(law(sup_a, wa), law(sup_b, candidates[sup_b][0]), "grid")
+                        record_hit(law(sup_a, wa), law(sup_b, (1,) * len(sup_b)), "grid")
                 continue
             # as tuples only here: a coset pair's comparisons can be |X|^2 positions
             pattern = tuple((tuple(cell), tuple(mirror)) for cell, mirror in comparisons)
@@ -597,17 +585,13 @@ def grid_scan(
             mu1 = random_distribution(group, rng, config.support_size_cap, cap)
             mu2 = random_distribution(group, rng, config.support_size_cap, cap)
             # a second support outside the first's viable set is infeasible;
-            # a first support the grid lacks gets the all-ones mask -1
-            mask = viable_masks.get(mu1.indices, -1)
-            for y in mu2.indices:
-                if not mask >> y & 1:
-                    break
-            else:
-                if cell_comparisons(mu1.indices, mu2.indices) is not None and (
-                    is_conditionally_symmetric(canonical_instance(group, alpha, mu1, mu2))
-                ):
-                    record_hit(law(mu1.indices, mu1.numerators, mu1),
-                               law(mu2.indices, mu2.numerators, mu2), "random")
+            # a first support the grid lacks has no viable set to test
+            viable = viable_sets.get(mu1.indices)
+            if ((viable is None or viable.issuperset(mu2.indices))
+                    and cell_comparisons(mu1.indices, mu2.indices) is not None
+                    and is_conditionally_symmetric(canonical_instance(group, alpha, mu1, mu2))):
+                record_hit(law(mu1.indices, mu1.numerators),
+                           law(mu2.indices, mu2.numerators), "random")
 
     summary = {
         "group": group_to_json(group),
@@ -716,8 +700,9 @@ def padic_scan(p: int, k: int, c: int, config: SearchConfig) -> PadicScanReport:
         mu = Distribution.from_weights(group, nonzero[:2], [1, 1])
         inst = checked_instance(group, alpha, mu, mu, kernel, "kernel")
         if not any(r.mu1 == inst.mu1 and r.mu2 == inst.mu2 for r in scan.hits):
-            law = (mu, classify_distribution(mu))
-            scan.hits.append(_report_for_hit(group, alpha, law, law, kernel, "construction"))
+            c_mu = classify_distribution(mu)
+            scan.hits.append(SymmetryReport(group, alpha, mu, mu, c_mu, c_mu, kernel,
+                                            verdict_tags(c_mu, c_mu, kernel), "construction"))
             scan.summary["counts"] = _hit_counts(scan.hits)
         non_idempotent = [r for r in scan.hits if not r.pair_idempotent]
         consistent = bool(non_idempotent)

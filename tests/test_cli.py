@@ -3,9 +3,11 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -438,6 +440,23 @@ def test_search_refuses_large_subgroup_lattice(tmp_path, capsys):
     argv = ["--support-cap", "1", "--denominator-cap", "1", "--trials", "0"]
     assert run_cli(["search", group, alpha, *argv]) == (2, "")
     assert "search space of 26387^2 pairs" in capsys.readouterr().err
+
+
+def test_search_refuses_huge_subgroup_lattice_promptly(tmp_path):
+    """Z2^10 at caps 1/1 passes the grid guard, and its lattice has
+    229,755,605 subgroups: the walk stops at search.MAX_SUBGROUPS and the
+    scan exits 2 within seconds instead of enumerating them."""
+    group = write(tmp_path, "g.json", {"cyclic_orders": [2] * 10})
+    alpha = write(tmp_path, "a.json", {"matrix": [[int(i == j) for j in range(10)] for i in range(10)]})
+    argv = ["--support-cap", "1", "--denominator-cap", "1", "--trials", "0"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "heyde_lab.cli", "search", group, alpha, *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"has over {search.MAX_SUBGROUPS} subgroups" in proc.stderr
+    assert time.perf_counter() - start < 15
 
 
 @pytest.mark.parametrize("order, a", [(5, 0), (9, 3)])

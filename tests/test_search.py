@@ -417,8 +417,13 @@ def _symmetric(group, alpha, mu1, mu2):
         ([9], neg_identity_endomorphism, (3, 4)),
         # draws of 3 points are no grid support, so no viable set rejects them
         ([2, 2], identity_endomorphism, (3, 2)),
+        # 3-point draws on a coset of <3> read that coset candidate's viable
+        # set, and other 3-point draws have none
+        ([9], lambda g: scaling_endomorphism(g, 2), (3, 2)),
+        ([3, 3], lambda g: _non_diagonal_automorphism(g, 2), (3, 2)),
     ],
-    ids=["Z2xZ6", "Z3xZ3", "Z8-alpha3", "Z9-minusI", "Z2xZ2-past-grid"],
+    ids=["Z2xZ6", "Z3xZ3", "Z8-alpha3", "Z9-minusI", "Z2xZ2-past-grid", "Z9-alpha2-past-grid",
+         "Z3xZ3-past-grid"],
 )
 def test_random_phase_matches_exact_predicate(orders, make_alpha, caps):
     """The random hits of a scan are exactly the symmetric draws of a

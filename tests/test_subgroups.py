@@ -249,3 +249,14 @@ def test_walk_adjoins_each_cyclic_extension_once(monkeypatch):
     monkeypatch.setattr(search, "_closure", counted)
     assert len(search.all_subgroups(make_group([1024]))) == 11
     assert len(calls) <= 100
+
+
+def test_walk_refuses_a_lattice_past_its_bound(monkeypatch):
+    """Z2^4 has 67 subgroups: the walk lists them all at a bound of 67 and
+    raises SearchSpaceError at 66, before it returns any."""
+    group = make_group([2, 2, 2, 2])
+    monkeypatch.setattr(search, "MAX_SUBGROUPS", 67)
+    assert len(all_subgroups(group)) == 67
+    monkeypatch.setattr(search, "MAX_SUBGROUPS", 66)
+    with pytest.raises(search.SearchSpaceError, match="has over 66 subgroups"):
+        all_subgroups(group)
