@@ -39,6 +39,7 @@ from .predicates import (
     independence_equation_check,
 )
 from .search import (
+    MAX_CANDIDATES,
     ScanResult,
     SearchConfig,
     SearchSpaceError,
@@ -116,7 +117,14 @@ def cmd_check(args: argparse.Namespace, out: TextIO) -> int:
     manifest = build_manifest(
         "check", [args.instance], {"tolerance": args.tolerance}
     )
-    instance = instance_from_json(_load_json(args.instance))
+    payload = _load_json(args.instance)
+    # the cross-checks compare |X|^2 pairs, so refuse before any element table is built
+    if isinstance(payload, dict) and "group" in payload:
+        n = group_from_json(payload["group"]).order
+        if n * n > MAX_CANDIDATES:
+            raise SearchSpaceError(
+                f"group order {n} exceeds check bound: {n}^2 pairs exceed {MAX_CANDIDATES}")
+    instance = instance_from_json(payload)
     result = canonicalize(instance)
     canonical, kernel = result.instance, result.kernel
 
@@ -232,8 +240,8 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         )
         for failure in result.failures:
             out.write(f"  {failure}\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
             _emit(
                 {"manifest": manifest, "suites": [asdict(r) for r in results]},
                 fh,
@@ -264,18 +272,20 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("instance", help="instance JSON file")
     check.add_argument("--tolerance", type=float, default=CHAR_TOL)
     check.add_argument("--out", type=str, default=None)
+    check.set_defaults(handler=cmd_check)
 
     search = sub.add_parser("search", help="grid scan over distribution pairs")
     search.add_argument("group", help="group JSON file")
     search.add_argument("alpha", help="endomorphism JSON file")
     _add_search_flags(search, default_trials=10_000)
+    search.set_defaults(handler=cmd_search)
 
     padic = sub.add_parser("padic", help="finite-level p-power scan")
     padic.add_argument("--p", type=int, required=True)
     padic.add_argument("--k", type=int, required=True)
     padic.add_argument("--c", type=int, required=True)
     _add_search_flags(padic, default_trials=2000)
-    padic.set_defaults(support_cap=2, denominator_cap=4)
+    padic.set_defaults(handler=cmd_padic, support_cap=2, denominator_cap=4)
 
     verify = sub.add_parser("verify", help="run property suites")
     verify.add_argument(
@@ -292,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
             "runs them without it"
         ),
     )
-    verify.add_argument("--out", type=str, default=None)
-
+    # a side report, not the stdout report --out replaces for the other commands
+    verify.add_argument("--out", dest="report", metavar="OUT", type=str, default=None)
+    verify.set_defaults(handler=cmd_verify)
     return parser
 
 
@@ -304,27 +315,21 @@ def run(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching the schema exit code
         return int(exc.code or 0)
-    handlers = {
-        "check": cmd_check,
-        "search": cmd_search,
-        "padic": cmd_padic,
-        "verify": cmd_verify,
-    }
     out_path = getattr(args, "out", None)
     try:
         if out is not None:
-            return handlers[args.command](args, out)
-        if out_path and args.command != "verify":
+            return args.handler(args, out)
+        if out_path:
             # the report replaces --out only once whole, so a refusal leaves it as it was
             with open(partial := out_path + ".partial", "w", encoding="utf-8") as fh:
                 try:
-                    code = handlers[args.command](args, fh)
+                    code = args.handler(args, fh)
                 except BaseException:
                     os.remove(partial)
                     raise
             os.replace(partial, out_path)
             return code
-        return handlers[args.command](args, sys.stdout)
+        return args.handler(args, sys.stdout)
     except (SchemaError, SearchSpaceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -1,10 +1,10 @@
 """Exact rational probability distributions on a finite abelian group.
 
 A law is held as positive integer numerators on sorted element indices
-over one denominator, so convolution, reflection, push-forwards and all
-equality predicates are exact; they sum numerator products over the
-group's index tables.  The ``Fraction`` masses keyed by element are a
-read-only view built on first use.  Masses given by element are
+over their sum, its one denominator, so convolution, reflection,
+push-forwards and all equality predicates are exact; they sum numerator
+products over the group's index tables.  The ``Fraction`` masses keyed by
+element are a read-only view built on first use.  Masses given by element are
 validated on integer numerators over one common denominator by
 :func:`exact_masses`, and laws summed by image use one accumulator,
 :func:`accumulate`.  A ``GroupFunction`` is held as ``row``, its values in
@@ -71,10 +71,10 @@ class Distribution:
             raise ValueError("distribution key outside the group")
         masses, d, numerators = exact_masses(probs)
         pairs = sorted((x.index, w) for x, w in zip(masses, numerators))
-        self.group, self.denominator = group, d  # the masses' lcm: masses off 1 fail the check
+        self.group = group
         self.indices, self.numerators = tuple(i for i, _ in pairs), tuple(w for _, w in pairs)
         self._probs = None  # set at build, so a view read later keeps the attribute layout
-        self.__post_init__()
+        self.__post_init__(d)  # masses off 1 do not sum to their lcm d
 
     @classmethod
     def from_weights(
@@ -85,29 +85,32 @@ class Distribution:
         if (g := math.gcd(*weights)) > 1:
             weights = tuple([w // g for w in weights])
         mu = cls.__new__(cls)
-        mu.group, mu.denominator, mu.indices, mu.numerators = (
-            group, sum(weights), tuple(indices), weights)
-        mu._probs = None
+        mu.group, mu.indices, mu.numerators, mu._probs = group, tuple(indices), weights, None
         mu.__post_init__()
         return mu
 
-    def __post_init__(self):
-        """The one check of every build, made on the integer form: indices,
-        then weights, then their sum; only a failure reads the elements."""
+    def __post_init__(self, lcm: int = 0):
+        """The one check of every build, on the integer form: indices, weights,
+        and for masses given over their lcm, their sum; only a failure reads the elements."""
         indices, nums = self.indices, self.numerators
         if len(nums) != len(indices) or indices and not (
             0 <= indices[0] and indices[-1] < self.group.order
             and (len(indices) == 1 or all(map(operator.lt, indices, indices[1:])))
         ):
             raise ValueError("support indices must increase strictly inside the group")
-        if not nums or min(nums) <= 0 or sum(nums) != self.denominator:
-            elements, d = self.group.elements, self.denominator
+        if not nums or min(nums) <= 0 or lcm and sum(nums) != lcm:
+            elements, d = self.group.elements, lcm or sum(nums)
             for i, w in zip(indices, nums):
                 if w < 0 < d:
                     raise ValueError(f"negative probability {Fraction(w, d)} at {elements[i]}")
                 if w <= 0:
                     raise ValueError(f"nonpositive weight {w} at {elements[i]}")
             raise ValueError(f"probabilities sum to {Fraction(sum(nums), d or 1)}, expected 1")
+
+    @property
+    def denominator(self) -> int:
+        """The numerators' sum, which is their least common denominator."""
+        return sum(self.numerators)
 
     @property
     def probs(self) -> Mapping[GroupElement, Fraction]:
@@ -123,8 +126,7 @@ class Distribution:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Distribution) and self.group == other.group and (
-            self.indices, self.numerators, self.denominator
-        ) == (other.indices, other.numerators, other.denominator)
+            self.indices, self.numerators) == (other.indices, other.numerators)
 
     def prob(self, x: GroupElement) -> Fraction:
         return self.probs.get(x, Fraction(0))

@@ -303,6 +303,41 @@ def test_check_refuses_non_automorphism_beta2(tmp_path, capsys):
     assert "requires alpha1 to be an automorphism" in capsys.readouterr().err
 
 
+def _point_mass_instance(orders):
+    """alpha = -I and two point masses on Z_{n_1} x ... x Z_{n_k}."""
+    k = len(orders)
+    return {
+        "group": {"cyclic_orders": orders},
+        "alpha": {"matrix": [[-int(i == j) for j in range(k)] for i in range(k)]},
+        "mu1": {"probs": {",".join(["0"] * k): "1"}},
+        "mu2": {"probs": {",".join(["1"] + ["0"] * (k - 1)): "1"}},
+    }
+
+
+def test_check_refuses_large_group_promptly(tmp_path):
+    """The cross-checks compare |X|^2 pairs, so Z1000 x Z1000 exits 2 before
+    any element table is built, where it used to run silently past 20 s."""
+    path = write(tmp_path, "inst.json", _point_mass_instance([1000, 1000]))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "heyde_lab.cli", "check", path],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: group order 1000000 exceeds check bound: 1000000^2 pairs exceed {search.MAX_CANDIDATES}\n"
+    )
+    assert time.perf_counter() - start < 15
+
+
+def test_check_bound_is_on_pairs(tmp_path, monkeypatch, capsys):
+    """A group of order n is checked while n^2 is at most the bound."""
+    monkeypatch.setattr("heyde_lab.cli.MAX_CANDIDATES", 81)
+    code, output = run_cli(["check", write(tmp_path, "z9.json", _point_mass_instance([9]))])
+    assert code == 1 and json.loads(output)["symmetric"] is False
+    assert run_cli(["check", write(tmp_path, "z10.json", _point_mass_instance([10]))]) == (2, "")
+    assert "group order 10 exceeds check bound: 10^2 pairs exceed 81" in capsys.readouterr().err
+
+
 def test_check_deterministic_output(tmp_path):
     path = write(tmp_path, "inst.json", KERNEL_INSTANCE)
     _code1, out1 = run_cli(["check", path])
@@ -457,6 +492,13 @@ def test_search_refuses_huge_subgroup_lattice_promptly(tmp_path):
     assert proc.stdout == ""
     assert f"has over {search.MAX_SUBGROUPS} subgroups" in proc.stderr
     assert time.perf_counter() - start < 15
+
+
+def test_search_refuses_group_past_scan_order(tmp_path, capsys):
+    group = write(tmp_path, "g.json", {"cyclic_orders": [2, 513]})
+    alpha = write(tmp_path, "a.json", {"matrix": [[1, 0], [0, 1]]})
+    assert run_cli(["search", group, alpha]) == (2, "")
+    assert capsys.readouterr().err == "error: group order 1026 exceeds scan bound 1024\n"
 
 
 @pytest.mark.parametrize("order, a", [(5, 0), (9, 3)])
@@ -784,10 +826,12 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 
 
 def test_console_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "heyde_lab.cli", "--version"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"

@@ -614,6 +614,17 @@ def test_scan_denominator_cap_is_bounded_before_enumerating():
         assert time.perf_counter() - start < 1
 
 
+def test_scan_refuses_group_and_alpha_before_building_tables():
+    """A group past MAX_SCAN_ORDER is refused before its element table or any
+    translation row is built; an alpha of another group is refused outright."""
+    group = make_group([2, 513])
+    with pytest.raises(SearchSpaceError, match=r"^group order 1026 exceeds scan bound 1024$"):
+        grid_scan(group, identity_endomorphism(group), SearchConfig())
+    assert group._elements is None and group._translations == {}
+    with pytest.raises(ValueError, match="^alpha acts on a different group$"):
+        grid_scan(make_group([5]), identity_endomorphism(make_group([7])), SearchConfig())
+
+
 def test_scan_space_guard_counts_grid_before_enumerating():
     """Caps 3/6 on Z27: 27*1 + C(27,2)*11 + C(27,3)*19 grid candidates,
     with the weight-vector counts of test_weight_vector_counts."""
