@@ -13,8 +13,7 @@ import sys
 
 from heyde_lab.groups import make_group, scaling_endomorphism
 from heyde_lab.search import SearchConfig, grid_scan
-
-CASES = (([5], 2), ([7], 3), ([9], 4), ([15], 7))
+from heyde_lab.verify import THEOREM_B_CASES
 
 
 def main() -> int:
@@ -32,7 +31,7 @@ def main() -> int:
         seed=args.seed,
     )
     any_red = False
-    for orders, a in CASES:
+    for orders, a in THEOREM_B_CASES:
         group = make_group(orders)
         result = grid_scan(group, scaling_endomorphism(group, a), config)
         counts = result.summary["counts"]

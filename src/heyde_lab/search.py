@@ -123,13 +123,16 @@ def verdict_tags(class1: dict, class2: dict, kernel: Subgroup) -> tuple[str, ...
 
     An idempotent pair with a trivial kernel is what Theorem B predicts; a
     non-idempotent pair is explained by a nontrivial kernel, and without
-    one it contradicts the theorem.
+    one it contradicts the theorem.  The theorem assumes odd order: on a
+    group of even order every pair supported in X[2] = {x : 2x = 0} is
+    symmetric for every alpha, so there such a pair is tagged
+    exploratory-2-torsion and asserts nothing.
     """
     if class1["kind"] in _IDEMPOTENT_KINDS and class2["kind"] in _IDEMPOTENT_KINDS:
         return ("theoremB-consistent",) if kernel.is_trivial else ()
-    if kernel.is_trivial:
-        return ("red-alert-nonidempotent",)
-    return ("kernel-counterexample",)
+    if not kernel.is_trivial:
+        return ("kernel-counterexample",)
+    return ("red-alert-nonidempotent",) if kernel.parent.order % 2 else ("exploratory-2-torsion",)
 
 
 @dataclass
@@ -411,7 +414,7 @@ class ScanResult:
 
     @property
     def red_alert(self) -> bool:
-        return any("red-alert-nonidempotent" in r.tags for r in self.hits)
+        return self.summary["red_alert"]
 
 
 def _coset_supports(group: FiniteAbelianGroup, subgroups: list[Subgroup]) -> list[tuple[int, ...]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .distributions import (
     Distribution,
@@ -69,6 +70,10 @@ DEFAULT_GROUP_ORDERS: tuple[tuple[int, ...], ...] = (
     (3, 3),
     (15,),
 )
+
+#: (cyclic orders, multiplier) of the cyclic groups where I + alpha is
+#: invertible, scanned by the theoremB suite and scripts/scan_invertible_case.py.
+THEOREM_B_CASES = (((5,), 2), ((7,), 3), ((9,), 4), ((15,), 7))
 
 #: Support and weight caps of the distributions drawn for the instance pools.
 POOL_SUPPORT_CAP = 4
@@ -155,37 +160,49 @@ def has_positive_symmetrized_char(inst: FormsInstance) -> bool:
     return True
 
 
-def _result(name: str, checks: int, failures: list[str], **details) -> SuiteResult:
-    return SuiteResult(name, not failures, checks, failures[:20], dict(details))
+class _Tally:
+    """A suite's check count and failure lines."""
+
+    def __init__(self) -> None:
+        self.checks = 0
+        self.failures: list[str] = []
+
+    def check(self, *conditions: tuple[bool, Callable[[], str]], count: int = 1) -> None:
+        """Count `count` checks, one by default, and record message() for
+        each (ok, message) condition that failed; a passing check formats
+        no message."""
+        self.checks += count
+        for ok, message in conditions:
+            if not ok:
+                self.failures.append(message())
+
+    def result(self, name: str, **details) -> SuiteResult:
+        """The suite's result, keeping its first 20 failure lines."""
+        return SuiteResult(name, not self.failures, self.checks, self.failures[:20], details)
 
 
 def suite_lemma1(seed: int = 0, trials: int = 1000) -> SuiteResult:
     """Exact conditional symmetry agrees with the characteristic-function
     equation on every instance."""
-    failures = []
-    pool = instance_pool(seed, random_count=trials)
+    tally = _Tally()
     symmetric = 0
-    for i, inst in enumerate(pool):
+    for i, inst in enumerate(instance_pool(seed, random_count=trials)):
         exact = is_conditionally_symmetric(inst)
         fourier = heyde_equation_check(inst)
         symmetric += exact
-        if exact != fourier:
-            failures.append(f"instance {i}: exact={exact} fourier={fourier}")
-    return _result("lemma1", len(pool), failures, symmetric_instances=symmetric)
+        tally.check((exact == fourier, lambda: f"instance {i}: exact={exact} fourier={fourier}"))
+    return tally.result("lemma1", symmetric_instances=symmetric)
 
 
 def suite_lemma5(seed: int = 0, trials: int = 300) -> SuiteResult:
     """Symmetric instances have independent derived forms."""
-    failures = []
-    pool = [
-        inst
-        for inst in instance_pool(seed, random_count=trials)
-        if is_conditionally_symmetric(inst)
-    ]
+    tally = _Tally()
+    pool = [inst for inst in instance_pool(seed, random_count=trials)
+            if is_conditionally_symmetric(inst)]
     for i, inst in enumerate(pool):
-        if not are_forms_independent(derived_forms_instance(inst)):
-            failures.append(f"symmetric instance {i}: derived forms dependent")
-    return _result("lemma5", len(pool), failures, symmetric_instances=len(pool))
+        tally.check((are_forms_independent(derived_forms_instance(inst)),
+                     lambda: f"symmetric instance {i}: derived forms dependent"))
+    return tally.result("lemma5", symmetric_instances=len(pool))
 
 
 def suite_lemma8(seed: int = 0, trials: int = 500) -> SuiteResult:
@@ -193,8 +210,7 @@ def suite_lemma8(seed: int = 0, trials: int = 500) -> SuiteResult:
     function equation, on random coefficient endomorphisms."""
     rng = random.Random(seed)
     group = make_group([7])
-    failures = []
-    checks = 0
+    tally = _Tally()
     for i in range(trials):
         coeffs = [
             scaling_endomorphism(group, rng.randrange(7)) for _ in range(4)
@@ -205,33 +221,26 @@ def suite_lemma8(seed: int = 0, trials: int = 500) -> SuiteResult:
             random_distribution(group, rng, 4, 9),
             random_distribution(group, rng, 4, 9),
         )
-        checks += 1
-        if are_forms_independent(inst) != independence_equation_check(inst):
-            failures.append(f"trial {i}: direct and equation checks disagree")
+        tally.check((are_forms_independent(inst) == independence_equation_check(inst),
+                     lambda: f"trial {i}: direct and equation checks disagree"))
     for i, inst in enumerate(engineered_symmetric_instances(seed)):
         derived = derived_forms_instance(inst)
-        checks += 1
-        if not (
-            are_forms_independent(derived) and independence_equation_check(derived)
-        ):
-            failures.append(f"engineered {i}: derived forms not independent")
-    return _result("lemma8", checks, failures)
+        tally.check((are_forms_independent(derived) and independence_equation_check(derived),
+                     lambda: f"engineered {i}: derived forms not independent"))
+    return tally.result("lemma8")
 
 
 def suite_corollary1(seed: int = 0, trials: int = 100) -> SuiteResult:
     """iid pairs with the reflected form are symmetric; on odd-order
     groups, symmetric reflected-form pairs have equal distributions."""
     rng = random.Random(seed)
-    failures = []
-    checks = 0
+    tally = _Tally()
     groups = [make_group(o) for o in DEFAULT_GROUP_ORDERS]
     for i in range(trials):
         group = groups[i % len(groups)]
         mu = random_distribution(group, rng, 4, 9)
         inst = canonical_instance(group, neg_identity_endomorphism(group), mu, mu)
-        checks += 1
-        if not is_conditionally_symmetric(inst):
-            failures.append(f"iid trial {i}: not symmetric")
+        tally.check((is_conditionally_symmetric(inst), lambda: f"iid trial {i}: not symmetric"))
     for orders in ((5,), (7,)):
         group = make_group(orders)
         scan = grid_scan(
@@ -242,19 +251,17 @@ def suite_corollary1(seed: int = 0, trials: int = 100) -> SuiteResult:
             ),
         )
         for r in scan.hits:
-            checks += 1
             inst = canonical_instance(group, r.alpha, r.mu1, r.mu2)
-            if r.mu1 != r.mu2 or not symmetry_forces_equal(inst):
-                failures.append(f"{group}: symmetric hit with mu1 != mu2")
-    return _result("corollary1", checks, failures)
+            tally.check((r.mu1 == r.mu2 and symmetry_forces_equal(inst),
+                         lambda: f"{group}: symmetric hit with mu1 != mu2"))
+    return tally.result("corollary1")
 
 
 def suite_corollary3(seed: int = 0, trials: int = 200) -> SuiteResult:
     """Canonicalization preserves the exact symmetry verdict and reports
     the kernel of I + alpha'."""
     rng = random.Random(seed)
-    failures = []
-    checks = 0
+    tally = _Tally()
     groups = [make_group([9]), make_group([7])]
     for i in range(trials):
         group = groups[i % 2]
@@ -266,16 +273,15 @@ def suite_corollary3(seed: int = 0, trials: int = 200) -> SuiteResult:
             random_distribution(group, rng, 3, 6),
         )
         result = canonicalize(inst)
-        checks += 1
-        if is_conditionally_symmetric(inst) != is_conditionally_symmetric(
-            result.instance
-        ):
-            failures.append(f"trial {i}: verdict changed by canonicalization")
         alpha_prime = result.instance.beta2
         direct = {x for x in group.elements if (x + alpha_prime(x)).is_zero}
-        if direct != set(result.kernel.elements):
-            failures.append(f"trial {i}: reported kernel mismatch")
-    return _result("corollary3", checks, failures)
+        tally.check(
+            (is_conditionally_symmetric(inst) == is_conditionally_symmetric(result.instance),
+             lambda: f"trial {i}: verdict changed by canonicalization"),
+            (direct == set(result.kernel.elements),
+             lambda: f"trial {i}: reported kernel mismatch"),
+        )
+    return tally.result("corollary3")
 
 
 def _chain_instances(seed: int) -> list[FormsInstance]:
@@ -289,109 +295,88 @@ def _chain_instances(seed: int) -> list[FormsInstance]:
 def suite_chain16(seed: int = 0) -> SuiteResult:
     """Triple-difference residuals of the symmetry equation vanish on
     symmetric instances with strictly positive symmetrized transforms."""
-    failures = []
-    insts = _chain_instances(seed)
+    tally = _Tally()
     worst_overall = 0.0
-    for i, inst in enumerate(insts):
+    for i, inst in enumerate(_chain_instances(seed)):
         phi1 = neg_log_char(symmetrize(inst.mu1))
         phi2 = neg_log_char(symmetrize(inst.mu2))
         worst, _ = max_chain_residual(phi1, phi2, inst.beta2.adjoint())
         worst_overall = max(worst_overall, worst)
-        if worst > CHAIN_TOL:
-            failures.append(f"instance {i}: residual {worst}")
-    return _result("chain16", len(insts), failures, max_residual=worst_overall)
+        tally.check((worst <= CHAIN_TOL, lambda: f"instance {i}: residual {worst}"))
+    return tally.result("chain16", max_residual=worst_overall)
 
 
 def suite_chain10(seed: int = 0) -> SuiteResult:
     """Independence-chain residuals vanish; with trivial Ker(I + alpha) the
     diagonal P has vanishing third differences, satisfies the quadratic
     identity, and is identically zero."""
-    failures = []
-    insts = _chain_instances(seed)
-    checks = 0
-    for i, inst in enumerate(insts):
+    tally = _Tally()
+    for i, inst in enumerate(_chain_instances(seed)):
         psi1 = neg_log_char(symmetrize(inst.mu1))
         psi2 = neg_log_char(symmetrize(inst.mu2))
         adj = inst.beta2.adjoint()
         worst, _ = max_m_forms_residual(psi1, psi2, adj)
-        checks += 1
-        if worst > CHAIN_TOL:
-            failures.append(f"instance {i}: chain residual {worst}")
+        tally.check((worst <= CHAIN_TOL, lambda: f"instance {i}: chain residual {worst}"))
         if obstruction_kernel(inst.beta2).is_trivial and inst.group.order % 2 == 1:
             p, _q = quadratic_candidate(psi1, psi2, adj)
-            checks += 1
-            if max_third_difference(p) > CHAIN_TOL:
-                failures.append(f"instance {i}: third difference of P nonzero")
-            if not quadratic_check(p, tol=CHAIN_TOL):
-                failures.append(f"instance {i}: P fails the quadratic identity")
-            if p.max_abs() > CHAIN_TOL:
-                failures.append(f"instance {i}: P does not vanish")
-    return _result("chain10", checks, failures)
+            tally.check(
+                (max_third_difference(p) <= CHAIN_TOL,
+                 lambda: f"instance {i}: third difference of P nonzero"),
+                (quadratic_check(p, tol=CHAIN_TOL),
+                 lambda: f"instance {i}: P fails the quadratic identity"),
+                (p.max_abs() <= CHAIN_TOL, lambda: f"instance {i}: P does not vanish"),
+            )
+    return tally.result("chain10")
 
 
 def suite_quadratic(seed: int = 0, trials: int = 200) -> SuiteResult:
     """Quadratic-identity solutions vanish: the scaling records are valid
     and random nonzero functions fail the identity."""
     rng = random.Random(seed)
-    failures = []
-    checks = 0
+    tally = _Tally()
     for orders in DEFAULT_GROUP_ORDERS + ((27,), (81,), (2, 3), (4,)):
         group = make_group(orders)
-        record = quadratic_vanishing(group)
-        checks += 1
-        if not record.valid:
-            failures.append(f"{group}: scaling record invalid")
+        tally.check((quadratic_vanishing(group).valid, lambda: f"{group}: scaling record invalid"))
     group = make_group([9])
     for i in range(trials):
         values = [0.0] + [rng.uniform(-1, 1) for _ in range(group.order - 1)]
         f = GroupFunction.from_row(group, values)
-        checks += 1
-        if quadratic_check(f) and f.max_abs() > 1e-9:
-            failures.append(f"trial {i}: nonzero quadratic solution found")
-    return _result("quadratic", checks, failures)
+        tally.check((not quadratic_check(f) or f.max_abs() <= 1e-9,
+                     lambda: f"trial {i}: nonzero quadratic solution found"))
+    return tally.result("quadratic")
 
 
 def suite_theorem_b(seed: int = 0, trials: int = 1000) -> SuiteResult:
     """Scans over groups with I + alpha invertible find no symmetric
     non-idempotent pair."""
-    failures = []
-    checks = 0
-    for orders, a in (((5,), 2), ((7,), 3), ((9,), 4), ((15,), 7)):
+    tally = _Tally()
+    config = SearchConfig(
+        support_size_cap=2, denominator_cap=4, random_trials=trials, seed=seed
+    )
+    for orders, a in THEOREM_B_CASES:
         group = make_group(orders)
-        scan = grid_scan(
-            group,
-            scaling_endomorphism(group, a),
-            SearchConfig(
-                support_size_cap=2,
-                denominator_cap=4,
-                random_trials=trials,
-                seed=seed,
-            ),
-        )
-        checks += scan.summary["counts"]["symmetric"]
-        bad = [r for r in scan.hits if not r.pair_idempotent]
-        if bad:
-            failures.append(f"{group}, alpha={a}: {len(bad)} non-idempotent hits")
-    return _result("theoremB", checks, failures)
+        scan = grid_scan(group, scaling_endomorphism(group, a), config)
+        bad = sum(not r.pair_idempotent for r in scan.hits)
+        tally.check((not bad, lambda: f"{group}, alpha={a}: {bad} non-idempotent hits"),
+                    count=scan.summary["counts"]["symmetric"])
+    return tally.result("theoremB")
 
 
 def suite_theorem_c_finite(seed: int = 0, trials: int = 500) -> SuiteResult:
     """Finite-level p-power scans land on the expected side of the digit
     case split."""
-    failures = []
+    tally = _Tally()
     config = SearchConfig(
         support_size_cap=2, denominator_cap=4, random_trials=trials, seed=seed
     )
     unit = padic_scan(3, 3, 4, config)
-    if unit.consistent is not True:
-        failures.append("scan (3,3,4): expected all-idempotent hits")
+    tally.check((unit.consistent is True, lambda: "scan (3,3,4): expected all-idempotent hits"))
     kernel = padic_scan(3, 3, 5, config)
-    if kernel.consistent is not True:
-        failures.append("scan (3,3,5): expected a non-idempotent hit")
+    tally.check((kernel.consistent is True, lambda: "scan (3,3,5): expected a non-idempotent hit"))
     two = padic_scan(2, 3, 3, config)
-    if two.consistent is not None or two.tag != "exploratory p=2":
-        failures.append("scan (2,3,3): expected the exploratory tag")
-    return _result("theoremC-finite", 3, failures)
+    tally.check((two.consistent is None and two.tag == "exploratory p=2",
+                 lambda: "scan (2,3,3): expected the exploratory tag"))
+    return tally.result("theoremC-finite")
 
 
 SUITES = {

@@ -448,6 +448,56 @@ def test_search_byte_identical_given_manifest(tmp_path):
     assert out1 == out2
 
 
+#: Order 3 on Z2xZ2 and Z4xZ4, with I + alpha invertible on both.
+TWO_TORSION_ALPHA = {"matrix": [[0, 1], [1, 1]]}
+
+
+def test_check_tags_two_torsion_pair_exploratory(tmp_path):
+    """On Z2xZ2, 1/3 d(0,0) + 2/3 d(1,0) against d(0,0) is symmetric and not
+    idempotent under a trivial Ker(I + alpha); the theorem assumes odd order,
+    so the pair is exploratory, not a red alert."""
+    instance = write(tmp_path, "i.json", {
+        "group": {"cyclic_orders": [2, 2]},
+        "alpha": TWO_TORSION_ALPHA,
+        "mu1": {"probs": {"0,0": "1/3", "1,0": "2/3"}},
+        "mu2": {"probs": {"0,0": "1"}},
+    })
+    code, output = run_cli(["check", instance])
+    report = json.loads(output)
+    assert code == 0 and report["symmetric"] is True
+    assert report["kernel"] == [[0, 0]]
+    assert report["tags"] == ["exploratory-2-torsion"]
+
+
+@pytest.mark.parametrize("orders, hits, exploratory", [([2, 2], 529, 408), ([4, 4], 2377, 1632)])
+def test_search_two_torsion_raises_no_red_alert(tmp_path, orders, hits, exploratory):
+    group = write(tmp_path, "g.json", {"cyclic_orders": orders})
+    alpha = write(tmp_path, "a.json", TWO_TORSION_ALPHA)
+    argv = ["--support-cap", "2", "--denominator-cap", "3", "--trials", "0"]
+    code, output = run_cli(["search", group, alpha, *argv])
+    *hit_lines, summary_line = output.strip().split("\n")
+    summary = json.loads(summary_line)["summary"]
+    tags = [json.loads(line)["tags"] for line in hit_lines]
+    assert code == 0 and summary["red_alert"] is False
+    assert summary["kernel"] == [[0, 0]]
+    assert len(tags) == hits
+    assert tags.count(["exploratory-2-torsion"]) == exploratory
+    assert not any("red-alert-nonidempotent" in t for t in tags)
+
+
+def test_search_odd_order_red_alert_exits_1(tmp_path, monkeypatch):
+    """A classification that misses idempotent shifts turns Z5's uniform law
+    into a non-idempotent hit under a trivial kernel: a red alert, exit 1."""
+    monkeypatch.setattr(search, "is_idempotent_shift", lambda mu: None)
+    group = write(tmp_path, "g.json", {"cyclic_orders": [5]})
+    alpha = write(tmp_path, "a.json", {"matrix": [[2]]})
+    code, output = run_cli(["search", group, alpha, "--trials", "0"])
+    *hit_lines, summary_line = output.strip().split("\n")
+    tags = [json.loads(line)["tags"] for line in hit_lines]
+    assert code == 1 and json.loads(summary_line)["summary"]["red_alert"] is True
+    assert tags.count(["red-alert-nonidempotent"]) == 1
+
+
 def test_search_schema_error(tmp_path):
     group = write(tmp_path, "g.json", {"cyclic_orders": [5]})
     alpha = write(tmp_path, "a.json", {"matrix": [[1, 0], [0, 1]]})

@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -318,6 +317,7 @@ def test_quadratic_vanishing_record(orders):
 def test_quadratic_nullspace_oracle(orders):
     """Independent oracle: the linear system of the quadratic identity has
     full rank, so the zero function is its only solution."""
+    np = pytest.importorskip("numpy", exc_type=ImportError)
     group = make_group(orders)
     n = group.order
     index = group.index
